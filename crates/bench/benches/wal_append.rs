@@ -1,6 +1,7 @@
-//! Multi-threaded WAL append microbench: the mutex-serialized append path
-//! vs the reserve-then-copy lockfree buffer, across thread counts and
-//! flush policies.
+//! Multi-threaded WAL append microbench: the log stripe's two
+//! configurations — mutex-serialized appends with a blocking flush baton
+//! (the paper's log) vs reserve-then-copy with parked committers — across
+//! thread counts and flush policies.
 //!
 //! Three outputs:
 //!
@@ -132,12 +133,7 @@ fn fsync_report() {
         };
         for (mode, mode_name) in MODES {
             for (policy, policy_name) in POLICIES {
-                let writer_counts: &[usize] = if mode == AppendMode::Lockfree {
-                    &[1, 2]
-                } else {
-                    &[1]
-                };
-                for &writers in writer_counts {
+                for writers in [1, 2] {
                     for threads in THREADS {
                         let tag = format!("{backend_name}-{mode_name}-{policy_name}-t{threads}");
                         let log = build_log(mode, policy, writers, backend, &tag);

@@ -53,7 +53,7 @@ struct TortureArgs {
     rtt_ns: u64,
     /// WAL append path: `mutex` or `lockfree` (`--wal-append MODE`).
     wal_append: AppendMode,
-    /// Parallel redo logs (`--log-writers K`; lockfree append only).
+    /// Parallel redo logs (`--log-writers K`; either append mode).
     log_writers: usize,
     /// WAL device: `sim` (default) or `file` (`--disk-backend file`).
     disk_backend: DiskBackend,

@@ -286,11 +286,7 @@ pub fn served_engine_cfg(
         ..EngineConfig::mysql(policy)
     }
     .with_wal_append(wal_append)
-    .with_log_writers(if wal_append == AppendMode::Mutex {
-        1
-    } else {
-        log_writers
-    })
+    .with_log_writers(log_writers)
     .with_concurrency(concurrency);
     if disk_backend == DiskBackend::File {
         cfg = cfg.with_file_backend(data_dir.expect("file backend requires a data dir"));

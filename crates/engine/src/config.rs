@@ -103,17 +103,17 @@ pub struct EngineConfig {
     pub flush_policy: FlushPolicy,
     /// Background flusher period for lazy policies.
     pub flush_interval: Duration,
-    /// WAL append path (both personalities): `Mutex` reproduces the
-    /// paper's serialized append, `Lockfree` the reserve-then-copy
-    /// buffer. The paper-faithful presets pin `Mutex`.
+    /// Configuration of the one WAL append mechanism (both
+    /// personalities): `Lockfree` reserves log space with one `fetch_add`
+    /// and parks committers that lose the flush-baton race; `Mutex`
+    /// serializes each append on the log's append mutex and makes
+    /// committers block on the baton — the paper's serialized log. The
+    /// paper-faithful presets pin `Mutex`.
     pub wal_append: AppendMode,
-    /// Parallel redo logs for the MySQL personality (lockfree path only;
-    /// records stripe by txn id, epoch-ordered commit acks). The
+    /// Parallel redo logs for the MySQL personality, in either append
+    /// mode (records stripe by txn id, epoch-ordered commit acks). The
     /// Postgres analogue is [`WalWriterConfig::sets`].
     pub log_writers: usize,
-    /// Let committers park and share another committer's fsync
-    /// (lockfree path only).
-    pub wal_group_commit: bool,
     /// Postgres WAL configuration (sets, block size).
     pub wal: WalWriterConfig,
     /// Whether the WAL lives on simulated devices or real segment files.
@@ -208,7 +208,6 @@ impl Default for EngineConfig {
             flush_interval: Duration::from_millis(10),
             wal_append: AppendMode::Lockfree,
             log_writers: 1,
-            wal_group_commit: true,
             wal: WalWriterConfig::default(),
             disk_backend: DiskBackend::Sim,
             data_dir: None,

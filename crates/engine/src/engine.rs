@@ -178,10 +178,7 @@ impl Engine {
         // File backend: open (and recover) the segment log first, so its
         // per-stripe devices can stand in for the simulated log disks.
         let stripes = match config.personality {
-            Personality::Mysql => match config.wal_append {
-                tpd_wal::AppendMode::Mutex => 1,
-                tpd_wal::AppendMode::Lockfree => config.log_writers.max(1),
-            },
+            Personality::Mysql => config.log_writers.max(1),
             Personality::Postgres => config.wal.sets.max(1),
         };
         let (file_wal, recovered) = match config.disk_backend {
@@ -198,9 +195,8 @@ impl Engine {
         };
         let wal = match config.personality {
             Personality::Mysql => {
-                // One device per parallel log writer (the mutex append
-                // path always runs one log). Extra devices are derived
-                // deterministically when the config lists too few.
+                // One device per parallel log writer. Extra devices are
+                // derived deterministically when the config lists too few.
                 let writers = stripes;
                 let disks: Vec<Arc<dyn DiskDevice>> = match &file_wal {
                     Some(wal) => (0..writers)
@@ -231,7 +227,6 @@ impl Engine {
                         manual_flush: config.wal_manual_flush,
                         append: config.wal_append,
                         writers,
-                        group_commit: config.wal_group_commit,
                         sink: file_wal.clone(),
                     },
                     disks,
@@ -267,7 +262,6 @@ impl Engine {
                 let mut wal_config = config.wal.clone();
                 wal_config.faults = config.wal_faults.clone();
                 wal_config.append = config.wal_append;
-                wal_config.group_commit = config.wal_group_commit;
                 WalBackend::Pg(Box::new(WalWriter::new(
                     wal_config,
                     disks,

@@ -83,7 +83,7 @@ pub struct TortureConfig {
     pub statement_rtt: Option<ServiceTime>,
     /// WAL append path under test (mutex vs reserve-then-copy).
     pub wal_append: AppendMode,
-    /// Parallel redo logs (lockfree append only; MySQL personality).
+    /// Parallel redo logs (MySQL personality; either append mode).
     pub log_writers: usize,
     /// WAL device: [`DiskBackend::Sim`] (default; crashes are simulated
     /// via [`Engine::simulate_crash`]) or [`DiskBackend::File`] (real
@@ -292,10 +292,9 @@ fn build_engine(cfg: &TortureConfig) -> (Arc<Engine>, Vec<TableId>) {
     ec.skip_locking = cfg.skip_locking;
     ec.broken_snapshots = cfg.chaos_snapshots;
     ec.statement_rtt = cfg.statement_rtt.clone();
-    ec = ec.with_wal_append(cfg.wal_append);
-    if cfg.wal_append == AppendMode::Lockfree {
-        ec = ec.with_log_writers(cfg.log_writers);
-    }
+    ec = ec
+        .with_wal_append(cfg.wal_append)
+        .with_log_writers(cfg.log_writers);
     if cfg.faults {
         ec.data_faults = Some(FaultPlan::chaos(cfg.seed ^ 0xD15C));
         ec.log_faults = Some(FaultPlan::chaos(cfg.seed ^ 0x10D1));

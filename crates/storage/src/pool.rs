@@ -133,6 +133,11 @@ struct Frame {
     io_busy: bool,
 }
 
+/// Debug-build bound on consecutive retries inside one
+/// [`BufferPool::access`].
+#[cfg(debug_assertions)]
+const MAX_ACCESS_RETRIES: u32 = 100_000;
+
 #[derive(Debug)]
 struct LruState {
     lru: LruList,
@@ -254,6 +259,23 @@ impl BufferPool {
         let _ = f;
     }
 
+    /// Debug-build invariant, checked with the LRU mutex held (every
+    /// page-table write happens under it): a page-table entry `pid -> f`
+    /// implies `frames[f].page == Some(pid)`.
+    #[inline]
+    fn debug_check_mapping(&self, state: &LruState, pid: PageId) {
+        #[cfg(debug_assertions)]
+        if let Some(&f) = self.page_table.read().get(&pid) {
+            assert_eq!(
+                state.frames[f].page,
+                Some(pid),
+                "page table maps {pid:?} to frame {f}, which holds another page"
+            );
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = (state, pid);
+    }
+
     /// The pool configuration.
     pub fn config(&self) -> &PoolConfig {
         &self.config
@@ -264,7 +286,20 @@ impl BufferPool {
     /// Blocks for disk I/O on a miss. Charges `access_work` CPU to model
     /// in-page row processing.
     pub fn access(&self, pid: PageId, write: bool) -> AccessKind {
+        #[cfg(debug_assertions)]
+        let mut retries = 0u32;
         loop {
+            // A legitimate retry follows a lost eviction race or a
+            // coalesced read; an unbounded run of them is a livelock
+            // (e.g. a stale page-table entry), so debug builds fail fast.
+            #[cfg(debug_assertions)]
+            {
+                retries += 1;
+                assert!(
+                    retries <= MAX_ACCESS_RETRIES,
+                    "access to {pid:?} retried {MAX_ACCESS_RETRIES} times: livelock"
+                );
+            }
             // Fast path: page-hash lookup (InnoDB's page_hash rw-latch).
             let frame = self.page_table.read().get(&pid).copied();
             if let Some(f) = frame {
@@ -298,6 +333,7 @@ impl BufferPool {
         if write {
             // Dirty marking needs the frame, which lives under the mutex.
             let mut state = self.lru.lock();
+            self.debug_check_mapping(&state, pid);
             if state.frames[f].page != Some(pid) || state.frames[f].io_busy {
                 return false;
             }
@@ -412,14 +448,17 @@ impl BufferPool {
                 .add_event(p.page_io, io_start, now_nanos() - io_start);
         }
 
-        // Publish: LRU insert then page-hash insert.
+        // Publish: LRU insert then page-hash insert, both under the LRU
+        // mutex (lock order lru -> page_table, as in `obtain_frame`).
+        // Mapping after the unlock would let an evictor take the frame
+        // first, find no entry to remove, and leave a stale `pid -> frame`.
         {
             let mut state = self.lru.lock();
             state.frames[frame].io_busy = false;
             state.frames[frame].dirty = write;
             state.lru.insert_old_head(frame);
+            self.page_table.write().insert(pid, frame);
         }
-        self.page_table.write().insert(pid, frame);
         {
             let mut inflight = self.in_flight.lock();
             inflight.remove(&pid);

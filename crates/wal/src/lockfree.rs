@@ -1,9 +1,9 @@
-//! Atomic reserve-then-copy log buffer (the scalable append path).
+//! The log append mechanism both personalities share: one [`Stripe`]
+//! per parallel log, in one of two configurations ([`AppendMode`]).
 //!
 //! The paper diagnoses the commit-path log flush as the single largest
-//! variance source in both engines; the mutex-serialized append in
-//! [`crate::mysql`] and [`crate::pg`] reproduces that pathology. This
-//! module removes the append-side serialization:
+//! variance source in both engines. The default configuration removes
+//! the append-side serialization:
 //!
 //! 1. **Reserve** — an appender claims an LSN range with a single
 //!    `fetch_add` on [`Stripe::reserved`]. No lock is held; concurrent
@@ -24,6 +24,16 @@
 //! the baton race park on a condvar instead of queueing on a mutex — N
 //! committers share one fsync (group commit).
 //!
+//! [`AppendMode::Mutex`] reproduces the pathology the paper measured
+//! (InnoDB's log mutex and `fil_flush`, Postgres's `WALWriteLock`) on the
+//! same stripe by changing exactly two things:
+//!
+//! * an append mutex is held from reserve through stamping to publish,
+//!   so appends serialize (and stamps follow LSN order);
+//! * a committer whose bytes are not durable blocks on the flush baton
+//!   and re-checks once it holds it, instead of parking — the flush-lock
+//!   convoy.
+//!
 //! Invariants (checked by debug assertions):
 //!
 //! * `flushed ≤ written ≤ published ≤ reserved` at all times.
@@ -41,15 +51,18 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::record::StampedRecord;
 
-/// How appends claim space in the log buffer.
+/// The configuration of a [`Stripe`]: how appends claim log space and how
+/// committers wait for the flush baton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AppendMode {
-    /// Paper-faithful: every append serializes on the buffer mutex (the
-    /// pathology of Table 1/2; kept selectable for the reproductions).
+    /// Paper-faithful: every append serializes on the stripe's append
+    /// mutex, and committers block on the flush baton (the pathology of
+    /// Table 1/2; kept selectable for the reproductions).
     Mutex,
     /// Reserve-then-copy: appenders claim an LSN range with one
     /// `fetch_add`, copy outside any lock, and publish through the
-    /// sequence-word ring. The default.
+    /// sequence-word ring; committers that lose the baton race park. The
+    /// default.
     #[default]
     Lockfree,
 }
@@ -68,8 +81,7 @@ impl std::str::FromStr for AppendMode {
 
 /// Stripe index bits live in the top byte of an [`crate::Lsn`], so each
 /// of up to `2^8` parallel logs gets an independent 56-bit offset space.
-/// With one stripe the encoding is the identity: LSNs are raw offsets,
-/// exactly as the mutex path produces them.
+/// With one stripe the encoding is the identity: LSNs are raw offsets.
 pub(crate) const STRIPE_SHIFT: u32 = 56;
 const OFFSET_MASK: u64 = (1 << STRIPE_SHIFT) - 1;
 
@@ -93,7 +105,7 @@ pub(crate) fn offset_of(lsn: crate::Lsn) -> u64 {
 /// into it. `records` carry a global sequence number so crash snapshots
 /// can merge stripes in true append order.
 #[derive(Debug)]
-pub(crate) struct Reservation {
+struct Reservation {
     /// First byte of the claimed range (== previous reservation's end).
     pub start: u64,
     /// One past the last byte of the claimed range.
@@ -140,6 +152,9 @@ struct DrainState {
 /// baton. The mysql personality stripes records across K of these by
 /// transaction id; the pg personality uses one per log set.
 pub(crate) struct Stripe {
+    mode: AppendMode,
+    /// Held from reserve through publish under [`AppendMode::Mutex`].
+    append_lock: Mutex<()>,
     /// Next unreserved offset. `fetch_add` here is the entire append-side
     /// reservation protocol.
     reserved: AtomicU64,
@@ -182,15 +197,11 @@ impl std::fmt::Debug for Stripe {
     }
 }
 
-impl Default for Stripe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Stripe {
-    pub fn new() -> Self {
+    pub fn new(mode: AppendMode) -> Self {
         Stripe {
+            mode,
+            append_lock: Mutex::new(()),
             reserved: AtomicU64::new(0),
             published: AtomicU64::new(0),
             written: AtomicU64::new(0),
@@ -212,19 +223,35 @@ impl Stripe {
         }
     }
 
+    /// Append `bytes`: reserve the range, let `stamp` build its typed
+    /// records from the range's start offset, publish. Returns the start
+    /// offset. Under [`AppendMode::Mutex`] the whole sequence holds the
+    /// append mutex.
+    pub fn append(&self, bytes: u64, stamp: impl FnOnce(u64) -> Vec<(u64, StampedRecord)>) -> u64 {
+        let _serial = (self.mode == AppendMode::Mutex).then(|| self.append_lock.lock());
+        let start = self.reserve(bytes);
+        let records = stamp(start);
+        self.publish(Reservation {
+            start,
+            end: start + bytes,
+            records,
+        });
+        start
+    }
+
     /// Claim `bytes` of LSN space. Returns the range's start offset.
-    pub fn reserve(&self, bytes: u64) -> u64 {
+    fn reserve(&self, bytes: u64) -> u64 {
         self.reserved.fetch_add(bytes, Ordering::SeqCst)
     }
 
     /// Announce a completed copy. Never blocks on a lock: if the ring is
     /// full (we lapped the drainer), we help drain until our slot frees.
-    pub fn publish(&self, res: Reservation) {
+    fn publish(&self, res: Reservation) {
         debug_assert!(res.start <= res.end);
         // Fast path: when this completion is the next one in LSN order and
         // the drain lock is uncontended, land it directly — no ring
         // traffic. This keeps the single-threaded append within a few
-        // nanoseconds of the mutex path; under contention the try_lock
+        // nanoseconds of a plain mutex; under contention the try_lock
         // fails (or we are out of order) and we fall through to the ring.
         if self.published.load(Ordering::Acquire) == res.start {
             if let Some(mut st) = self.drain.try_lock() {
@@ -350,6 +377,32 @@ impl Stripe {
         self.baton.lock()
     }
 
+    /// The committer's durability wait: returns once `durable()` holds.
+    /// Whenever this caller holds the flush baton and is not yet durable
+    /// it runs `flush` (one flush round). Otherwise it waits for the
+    /// holder — parked under [`AppendMode::Lockfree`], blocked on the
+    /// baton under [`AppendMode::Mutex`]. Returns whether this caller ran
+    /// a round. A round may fall short of `durable()` (an unpublished
+    /// lower reservation holds the watermark back), so this loops.
+    pub fn await_durable(&self, durable: impl Fn() -> bool, mut flush: impl FnMut()) -> bool {
+        let mut flushed_self = false;
+        while !durable() {
+            if self.mode == AppendMode::Mutex {
+                let _baton = self.baton();
+                if !durable() {
+                    flush();
+                    flushed_self = true;
+                }
+            } else if let Some(_baton) = self.try_baton() {
+                flush();
+                flushed_self = true;
+            } else {
+                self.park_round(&durable);
+            }
+        }
+        flushed_self
+    }
+
     /// Park for one flush round: wait until woken (or a short timeout)
     /// unless `done()` already holds. Returns so the caller can re-check
     /// its durability target and retry the baton — the timeout makes
@@ -409,7 +462,7 @@ mod tests {
 
     #[test]
     fn reservations_are_disjoint_and_watermark_advances_in_order() {
-        let s = Stripe::new();
+        let s = Stripe::new(AppendMode::Lockfree);
         let a = s.reserve(10);
         let b = s.reserve(20);
         assert_eq!((a, b), (0, 10));
@@ -433,7 +486,7 @@ mod tests {
 
     #[test]
     fn records_are_retained_in_lsn_order_despite_publish_order() {
-        let s = Stripe::new();
+        let s = Stripe::new(AppendMode::Lockfree);
         let a = s.reserve(16);
         let b = s.reserve(16);
         let rec = |seq: u64, end: u64, txn: u64| {
@@ -463,7 +516,7 @@ mod tests {
 
     #[test]
     fn ring_wraps_without_losing_publishes() {
-        let s = Stripe::new();
+        let s = Stripe::new(AppendMode::Lockfree);
         let total = RING_SLOTS * 3 + 17;
         for _ in 0..total {
             let start = s.reserve(8);
@@ -479,7 +532,7 @@ mod tests {
 
     #[test]
     fn concurrent_publishes_tile_the_space() {
-        let s = std::sync::Arc::new(Stripe::new());
+        let s = std::sync::Arc::new(Stripe::new(AppendMode::Lockfree));
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let s = s.clone();

@@ -17,19 +17,21 @@
 //! Both lazy modes risk losing the last interval's commits on a crash, as
 //! the paper notes.
 //!
-//! Two append paths coexist (see [`AppendMode`]):
+//! One append mechanism, two configurations (see [`crate::lockfree`]):
+//! every log is a [`Stripe`] whose appends claim LSN ranges and publish
+//! through a sequence-word ring, and whose committers share fsyncs via a
+//! flush baton. [`AppendMode::Lockfree`] (the default) reserves with one
+//! `fetch_add` and parks committers that lose the baton race;
+//! [`AppendMode::Mutex`] serializes each append on the stripe's append
+//! mutex and makes committers block on the baton — the log-mutex and
+//! `fil_flush` convoy the paper measured (Table 1).
 //!
-//! * **Mutex** — every append serializes through `Mutex<BufferState>`,
-//!   faithful to the contention pathology the paper measured (Table 1).
-//! * **Lockfree** — reserve-then-copy (see [`crate::lockfree`]): appends
-//!   claim LSN ranges with one `fetch_add` and publish through a
-//!   sequence-word ring; committers share fsyncs via a flush baton and a
-//!   parked waiter list. [`RedoLogConfig::writers`] > 1 stripes records
-//!   across K parallel logs by transaction id, with **epoch-ordered
-//!   commit acks**: each fsync closes a global epoch, and a commit is
-//!   acknowledged only once every stripe's flush epoch has caught up with
-//!   the epoch observed at its own flush — so an ack implies every
-//!   earlier-epoch commit on every log is durable.
+//! [`RedoLogConfig::writers`] > 1 stripes records across K parallel logs
+//! by transaction id, in either mode, with **epoch-ordered commit acks**:
+//! each fsync closes a global epoch, and a commit is acknowledged only
+//! once every stripe's flush epoch has caught up with the epoch observed
+//! at its own flush — so an ack implies every earlier-epoch commit on
+//! every log is durable.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,7 +44,7 @@ use tpd_common::disk::DiskDevice;
 use tpd_metrics::{Histogram, HistogramSnapshot};
 use tpd_profiler::{FuncId, Profiler};
 
-use crate::lockfree::{make_lsn, offset_of, stripe_of, AppendMode, Reservation, Stripe};
+use crate::lockfree::{make_lsn, offset_of, stripe_of, AppendMode, Stripe};
 use crate::record::{LogRecord, StampedRecord};
 use crate::Lsn;
 
@@ -72,16 +74,12 @@ pub struct RedoLogConfig {
     /// harness needs this: with no second thread, every flush happens at a
     /// seeded point on the driver thread and the run is replayable.
     pub manual_flush: bool,
-    /// Append path: mutex-serialized (paper-faithful) or reserve-then-copy.
+    /// Stripe configuration: mutex-serialized (paper-faithful) or
+    /// reserve-then-copy.
     pub append: AppendMode,
-    /// Parallel log count for the lockfree path (records striped by txn
-    /// id, one flush baton each). Ignored by the mutex path, which always
-    /// runs a single log.
+    /// Parallel log count (records striped by txn id, one flush baton
+    /// each).
     pub writers: usize,
-    /// Allow committers to park and share another committer's fsync. When
-    /// false, a committer that loses the baton race spins for the baton
-    /// and flushes itself (still correct, no batching).
-    pub group_commit: bool,
     /// File-backed log sink (`disk_backend = file`). When set, the write
     /// path persists typed records as CRC-framed segments through the
     /// [`crate::FileWal`] instead of byte-count device writes, and the
@@ -100,7 +98,6 @@ impl Default for RedoLogConfig {
             manual_flush: false,
             append: AppendMode::Lockfree,
             writers: 1,
-            group_commit: true,
             sink: None,
         }
     }
@@ -132,23 +129,7 @@ pub struct RedoStats {
     pub commit_wait_ns: u64,
 }
 
-#[derive(Debug, Default)]
-struct BufferState {
-    next_lsn: u64,
-    /// Bytes appended but not yet written to the device.
-    unwritten: u64,
-    written_lsn: u64,
-    flushed_lsn: u64,
-    /// Typed records retained for crash/recovery simulation (all appended
-    /// records; durability is judged against `flushed_lsn` at crash time).
-    records: Vec<StampedRecord>,
-    /// How many of `records` the file sink has framed out (file backend
-    /// only; the record's index doubles as its global seq here, since the
-    /// mutex path serializes every append).
-    persisted: usize,
-}
-
-/// One parallel log: its device plus the lock-free stripe state.
+/// One parallel log: its device plus the stripe state.
 #[derive(Debug)]
 struct StripeLog {
     disk: Arc<dyn DiskDevice>,
@@ -160,26 +141,11 @@ struct StripeLog {
     persisted: AtomicU64,
 }
 
-/// The append-path implementation behind a [`RedoLog`].
-#[derive(Debug)]
-enum Backend {
-    /// Mutex-serialized buffer (paper-faithful pathology).
-    Mutex {
-        disk: Arc<dyn DiskDevice>,
-        state: Mutex<BufferState>,
-        /// Serializes device write+fsync so committers group-commit
-        /// behind the current flusher.
-        flush_lock: Mutex<()>,
-    },
-    /// Reserve-then-copy stripes (see [`crate::lockfree`]).
-    Lockfree { stripes: Vec<StripeLog> },
-}
-
 /// The redo log. See module docs.
 #[derive(Debug)]
 pub struct RedoLog {
     config: RedoLogConfig,
-    backend: Backend,
+    stripes: Vec<StripeLog>,
     shutdown: Arc<AtomicBool>,
     shutdown_cv: Arc<(Mutex<bool>, Condvar)>,
     flusher: Option<std::thread::JoinHandle<()>>,
@@ -190,10 +156,6 @@ pub struct RedoLog {
     group_commits: AtomicU64,
     bytes_written: AtomicU64,
     commit_wait_ns: AtomicU64,
-    /// Eager committers waiting on durability (mutex backend; the
-    /// lockfree backend tracks this per stripe). Swapped to zero at each
-    /// fsync to size the group-commit batch.
-    acks_pending: AtomicU64,
     /// Global append sequence, stamped on every typed record so crash
     /// snapshots merge stripes in true append order.
     global_seq: AtomicU64,
@@ -207,7 +169,7 @@ pub struct RedoLog {
     /// Bytes made durable per flush batch.
     batch_hist: Histogram,
     /// Append-path reservation latency (ns) — the cost of claiming and
-    /// publishing log space, in either append mode.
+    /// publishing log space, including any wait for the append mutex.
     reserve_hist: Histogram,
     /// Commits acknowledged per fsync (group-commit batch size).
     group_batch_hist: Histogram,
@@ -224,48 +186,29 @@ impl RedoLog {
         Self::with_disks(config, vec![disk], probes)
     }
 
-    /// Create a redo log over one device per parallel log writer. The
-    /// mutex append path always runs a single log (extra devices are
-    /// rejected); the lockfree path requires `disks.len() == writers`.
+    /// Create a redo log over one device per parallel log writer
+    /// (`disks.len() == writers`).
     pub fn with_disks(
         config: RedoLogConfig,
         disks: Vec<Arc<dyn DiskDevice>>,
         probes: Option<MysqlWalProbes>,
     ) -> Arc<Self> {
         let writers = config.writers.max(1);
-        let backend = match config.append {
-            AppendMode::Mutex => {
-                assert_eq!(
-                    disks.len(),
-                    1,
-                    "the mutex append path runs a single log (one device)"
-                );
-                Backend::Mutex {
-                    disk: disks.into_iter().next().expect("one device"),
-                    state: Mutex::new(BufferState::default()),
-                    flush_lock: Mutex::new(()),
-                }
-            }
-            AppendMode::Lockfree => {
-                assert!(writers <= 256, "stripe index must fit the LSN top byte");
-                assert_eq!(disks.len(), writers, "one device per log writer required");
-                Backend::Lockfree {
-                    stripes: disks
-                        .into_iter()
-                        .enumerate()
-                        .map(|(idx, disk)| StripeLog {
-                            disk,
-                            stripe: Stripe::new(),
-                            idx,
-                            persisted: AtomicU64::new(0),
-                        })
-                        .collect(),
-                }
-            }
-        };
+        assert!(writers <= 256, "stripe index must fit the LSN top byte");
+        assert_eq!(disks.len(), writers, "one device per log writer required");
+        let stripes = disks
+            .into_iter()
+            .enumerate()
+            .map(|(idx, disk)| StripeLog {
+                disk,
+                stripe: Stripe::new(config.append),
+                idx,
+                persisted: AtomicU64::new(0),
+            })
+            .collect();
         let mut log = RedoLog {
             config: config.clone(),
-            backend,
+            stripes,
             shutdown: Arc::new(AtomicBool::new(false)),
             shutdown_cv: Arc::new((Mutex::new(false), Condvar::new())),
             flusher: None,
@@ -276,7 +219,6 @@ impl RedoLog {
             group_commits: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
             commit_wait_ns: AtomicU64::new(0),
-            acks_pending: AtomicU64::new(0),
             global_seq: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             append_rr: AtomicU64::new(0),
@@ -329,34 +271,21 @@ impl RedoLog {
         self.config.append
     }
 
-    /// Number of parallel logs (1 for the mutex path).
+    /// Number of parallel logs.
     pub fn writers(&self) -> usize {
-        match &self.backend {
-            Backend::Mutex { .. } => 1,
-            Backend::Lockfree { stripes } => stripes.len(),
-        }
+        self.stripes.len()
     }
 
     /// Append `bytes` of redo for a transaction; returns the end LSN that
     /// commit must make durable (eager) or acknowledge (lazy).
     pub fn append(&self, bytes: u64) -> Lsn {
         let t0 = now_nanos();
-        let lsn = match &self.backend {
-            Backend::Mutex { state, .. } => {
-                let mut st = state.lock();
-                st.next_lsn += bytes;
-                st.unwritten += bytes;
-                Lsn(st.next_lsn)
-            }
-            Backend::Lockfree { stripes } => {
-                let idx = if stripes.len() == 1 {
-                    0
-                } else {
-                    self.append_rr.fetch_add(1, Ordering::Relaxed) as usize % stripes.len()
-                };
-                self.append_to_stripe(stripes, idx, Vec::new(), bytes)
-            }
+        let idx = if self.stripes.len() == 1 {
+            0
+        } else {
+            self.append_rr.fetch_add(1, Ordering::Relaxed) as usize % self.stripes.len()
         };
+        let lsn = self.append_to_stripe(idx, Vec::new(), bytes);
         self.bytes_appended.fetch_add(bytes, Ordering::Relaxed);
         self.reserve_hist.record(now_nanos() - t0);
         lsn
@@ -373,72 +302,43 @@ impl RedoLog {
         for r in &records {
             total += r.encoded_len();
         }
-        let lsn = match &self.backend {
-            Backend::Mutex { state, .. } => {
-                let mut st = state.lock();
-                for r in records {
-                    st.next_lsn += r.encoded_len();
-                    let end = Lsn(st.next_lsn);
-                    st.records.push(StampedRecord { end, record: r });
-                }
-                st.next_lsn += extra_bytes;
-                st.unwritten += total;
-                Lsn(st.next_lsn)
-            }
-            Backend::Lockfree { stripes } => {
-                let idx = if stripes.len() == 1 {
-                    0
-                } else {
-                    match records.iter().find_map(|r| r.txn()) {
-                        Some(txn) => txn as usize % stripes.len(),
-                        None => {
-                            self.append_rr.fetch_add(1, Ordering::Relaxed) as usize % stripes.len()
-                        }
-                    }
-                };
-                self.append_to_stripe(stripes, idx, records, extra_bytes)
+        let n = self.stripes.len();
+        let idx = if n == 1 {
+            0
+        } else {
+            match records.iter().find_map(|r| r.txn()) {
+                Some(txn) => txn as usize % n,
+                None => self.append_rr.fetch_add(1, Ordering::Relaxed) as usize % n,
             }
         };
+        let lsn = self.append_to_stripe(idx, records, extra_bytes);
         self.bytes_appended.fetch_add(total, Ordering::Relaxed);
         self.reserve_hist.record(now_nanos() - t0);
         lsn
     }
 
-    /// Lockfree append: reserve the range with one `fetch_add`, stamp the
-    /// records against it outside any lock, publish through the ring.
-    fn append_to_stripe(
-        &self,
-        stripes: &[StripeLog],
-        idx: usize,
-        records: Vec<LogRecord>,
-        extra_bytes: u64,
-    ) -> Lsn {
-        let s = &stripes[idx];
+    /// Claim the batch's range on stripe `idx`, stamp each record with its
+    /// end offset inside the range and a global sequence number (crash
+    /// snapshots merge stripes by it), publish. Returns the end LSN.
+    fn append_to_stripe(&self, idx: usize, records: Vec<LogRecord>, extra_bytes: u64) -> Lsn {
         let typed: u64 = records.iter().map(|r| r.encoded_len()).sum();
         let bytes = typed + extra_bytes;
-        let start = s.stripe.reserve(bytes);
-        // Copy phase: no lock held. Stamp each record with its end offset
-        // inside the claimed range and a global sequence number (crash
-        // snapshots merge stripes by it).
-        let mut off = start;
-        let stamped: Vec<(u64, StampedRecord)> = records
-            .into_iter()
-            .map(|record| {
-                off += record.encoded_len();
-                let seq = self.global_seq.fetch_add(1, Ordering::SeqCst);
-                (
-                    seq,
-                    StampedRecord {
-                        end: make_lsn(idx, off),
-                        record,
-                    },
-                )
-            })
-            .collect();
-        s.stripe.publish(Reservation {
-            start,
-            end: start + bytes,
-            records: stamped,
+        let start = self.stripes[idx].stripe.append(bytes, |start| {
+            let mut off = start;
+            records
+                .into_iter()
+                .map(|record| {
+                    off += record.encoded_len();
+                    let seq = self.global_seq.fetch_add(1, Ordering::SeqCst);
+                    (
+                        seq,
+                        StampedRecord {
+                            end: make_lsn(idx, off),
+                            record,
+                        },
+                    )
+                })
+                .collect()
         });
         make_lsn(idx, start + bytes)
     }
@@ -456,59 +356,36 @@ impl RedoLog {
     /// garbage where their checksums should be.
     pub fn simulate_crash(&self) -> Vec<StampedRecord> {
         let torn = self.config.faults.as_ref().is_some_and(|f| f.torn_tail);
-        match &self.backend {
-            Backend::Mutex { state, .. } => {
-                let st = state.lock();
-                let mut durable: Vec<StampedRecord> = st
-                    .records
-                    .iter()
-                    .filter(|r| r.end.0 <= st.flushed_lsn)
-                    .cloned()
-                    .collect();
-                if torn {
-                    if let Some(first_lost) = st.records.iter().find(|r| r.end.0 > st.flushed_lsn) {
-                        // Half the record (header included) made it out.
-                        let bytes = (first_lost.record.encoded_len() / 2).max(1);
-                        durable.push(StampedRecord {
-                            end: Lsn(st.flushed_lsn + bytes),
-                            record: LogRecord::Torn { bytes },
-                        });
+        let mut durable: Vec<(u64, StampedRecord)> = Vec::new();
+        let mut tears: Vec<(u64, StampedRecord)> = Vec::new();
+        for (idx, s) in self.stripes.iter().enumerate() {
+            let flushed = s.stripe.flushed();
+            s.stripe.with_records(|records| {
+                for (seq, r) in records {
+                    if offset_of(r.end) <= flushed {
+                        durable.push((*seq, r.clone()));
+                    } else {
+                        if torn {
+                            // Half the record (header included) made it out.
+                            let bytes = (r.record.encoded_len() / 2).max(1);
+                            tears.push((
+                                *seq,
+                                StampedRecord {
+                                    end: make_lsn(idx, flushed + bytes),
+                                    record: LogRecord::Torn { bytes },
+                                },
+                            ));
+                        }
+                        break;
                     }
                 }
-                durable
-            }
-            Backend::Lockfree { stripes } => {
-                let mut durable: Vec<(u64, StampedRecord)> = Vec::new();
-                let mut tears: Vec<(u64, StampedRecord)> = Vec::new();
-                for (idx, s) in stripes.iter().enumerate() {
-                    let flushed = s.stripe.flushed();
-                    s.stripe.with_records(|records| {
-                        for (seq, r) in records {
-                            if offset_of(r.end) <= flushed {
-                                durable.push((*seq, r.clone()));
-                            } else {
-                                if torn {
-                                    let bytes = (r.record.encoded_len() / 2).max(1);
-                                    tears.push((
-                                        *seq,
-                                        StampedRecord {
-                                            end: make_lsn(idx, flushed + bytes),
-                                            record: LogRecord::Torn { bytes },
-                                        },
-                                    ));
-                                }
-                                break;
-                            }
-                        }
-                    });
-                }
-                // Durable records in append order; tears last so readers
-                // stop at the first unreadable record.
-                durable.sort_by_key(|(seq, _)| *seq);
-                tears.sort_by_key(|(seq, _)| *seq);
-                durable.into_iter().chain(tears).map(|(_, r)| r).collect()
-            }
+            });
         }
+        // Durable records in append order; tears last so readers stop at
+        // the first unreadable record.
+        durable.sort_by_key(|(seq, _)| *seq);
+        tears.sort_by_key(|(seq, _)| *seq);
+        durable.into_iter().chain(tears).map(|(_, r)| r).collect()
     }
 
     /// Whether an armed [`crate::WalFaultPlan::crash_at_lsn`] point has
@@ -561,149 +438,40 @@ impl RedoLog {
         waited
     }
 
-    /// Under the state lock: take the records the file sink has not framed
-    /// out yet, paired with their index — the mutex path serializes every
-    /// append, so a record's position is its global seq. Empty in sim mode.
-    fn take_unpersisted(&self, st: &mut BufferState) -> Vec<(u64, StampedRecord)> {
-        if self.config.sink.is_none() {
-            return Vec::new();
-        }
-        let from = st.persisted;
-        st.persisted = st.records.len();
-        st.records[from..]
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ((from + i) as u64, r.clone()))
-            .collect()
-    }
-
-    /// Device write for the mutex path: byte-count in sim mode, CRC frames
-    /// through the sink in file mode (zero fill would corrupt the stream).
-    fn write_mutex_bytes(
-        &self,
-        disk: &Arc<dyn DiskDevice>,
-        to_write: u64,
-        frames: &[(u64, StampedRecord)],
-    ) {
-        match &self.config.sink {
-            Some(sink) => {
-                for (seq, r) in frames {
-                    sink.append(0, *seq, r);
-                }
-            }
-            None => {
-                if to_write > 0 {
-                    disk.write(to_write);
-                }
-            }
-        }
-        self.bytes_written.fetch_add(to_write, Ordering::Relaxed);
-    }
-
     /// Write buffered bytes up to at least `lsn` into the device cache.
     fn ensure_written(&self, lsn: Lsn) {
-        match &self.backend {
-            Backend::Mutex { state, disk, .. } => loop {
-                let (to_write, frames) = {
-                    let mut st = state.lock();
-                    if st.written_lsn >= lsn.0 {
-                        return;
-                    }
-                    let n = st.unwritten;
-                    st.written_lsn = st.next_lsn;
-                    st.unwritten = 0;
-                    (n, self.take_unpersisted(&mut st))
-                };
-                if to_write > 0 || !frames.is_empty() {
-                    self.write_mutex_bytes(disk, to_write, &frames);
-                }
-                // Loop re-checks in case new bytes raced in below our lsn —
-                // cannot happen since lsn was assigned before, but stay safe.
-                let st = state.lock();
-                if st.written_lsn >= lsn.0 {
-                    return;
-                }
-            },
-            Backend::Lockfree { stripes } => {
-                let s = &stripes[stripe_of(lsn)];
-                let off = offset_of(lsn);
-                loop {
-                    if s.stripe.written() >= off {
-                        return;
-                    }
-                    if let Some(_baton) = s.stripe.try_baton() {
-                        // May fall short if an unpublished lower
-                        // reservation blocks the watermark; loop.
-                        self.write_stripe_pending(s);
-                    } else {
-                        // The baton holder may have drained before our
-                        // publish; retry after it releases.
-                        std::thread::yield_now();
-                    }
-                }
+        let s = &self.stripes[stripe_of(lsn)];
+        let off = offset_of(lsn);
+        loop {
+            if s.stripe.written() >= off {
+                return;
+            }
+            if let Some(_baton) = s.stripe.try_baton() {
+                // May fall short if an unpublished lower reservation
+                // blocks the watermark; loop.
+                self.write_stripe_pending(s);
+            } else {
+                // The baton holder may have drained before our publish;
+                // retry after it releases.
+                std::thread::yield_now();
             }
         }
     }
 
     /// Write + fsync everything up to at least `lsn` (group commit).
     fn ensure_flushed(&self, lsn: Lsn) {
-        match &self.backend {
-            Backend::Mutex {
-                state, flush_lock, ..
-            } => {
-                {
-                    let st = state.lock();
-                    if st.flushed_lsn >= lsn.0 {
-                        self.group_commits.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-                self.acks_pending.fetch_add(1, Ordering::SeqCst);
-                let _g = flush_lock.lock();
-                // Re-check: the previous holder may have flushed us.
-                {
-                    let st = state.lock();
-                    if st.flushed_lsn >= lsn.0 {
-                        self.group_commits.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-                self.flush_mutex_locked();
-            }
-            Backend::Lockfree { stripes } => {
-                let s = &stripes[stripe_of(lsn)];
-                let off = offset_of(lsn);
-                if s.stripe.flushed() >= off {
-                    self.group_commits.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                s.stripe.acks_pending.fetch_add(1, Ordering::SeqCst);
-                // A flush round (even our own) may not cover our bytes: a
-                // concurrent appender holding a lower reservation that has
-                // not yet published blocks the watermark below us. Loop
-                // until some round lands past our offset.
-                let mut flushed_self = false;
-                loop {
-                    if s.stripe.flushed() >= off {
-                        if !flushed_self {
-                            self.group_commits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return;
-                    }
-                    if let Some(_baton) = s.stripe.try_baton() {
-                        self.flush_stripe_round(s);
-                        flushed_self = true;
-                    } else if self.config.group_commit {
-                        // Lose the baton race → park; the holder wakes us
-                        // when its round completes. Re-check and retry: the
-                        // round only covers publishes it drained.
-                        s.stripe.park_round(|| s.stripe.flushed() >= off);
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
+        let s = &self.stripes[stripe_of(lsn)];
+        let off = offset_of(lsn);
+        let durable = || s.stripe.flushed() >= off;
+        if !durable() {
+            s.stripe.acks_pending.fetch_add(1, Ordering::SeqCst);
+            if s.stripe
+                .await_durable(durable, || self.flush_stripe_round(s))
+            {
+                return;
             }
         }
+        self.group_commits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// K-way epoch rule: a commit is acknowledged only when every other
@@ -713,15 +481,12 @@ impl RedoLog {
     /// callers flush lagging stripes themselves (the baton is free);
     /// concurrent callers usually just observe other committers' rounds.
     fn epoch_ordered_ack(&self, lsn: Lsn) {
-        let Backend::Lockfree { stripes } = &self.backend else {
-            return;
-        };
-        if stripes.len() == 1 {
+        if self.stripes.len() == 1 {
             return;
         }
         let my = stripe_of(lsn);
         let e0 = self.epoch.load(Ordering::SeqCst);
-        for (i, s) in stripes.iter().enumerate() {
+        for (i, s) in self.stripes.iter().enumerate() {
             if i == my {
                 continue;
             }
@@ -740,72 +505,14 @@ impl RedoLog {
 
     /// Background entry point: flush all pending bytes on every log.
     fn write_and_flush_pending(&self) {
-        match &self.backend {
-            Backend::Mutex { flush_lock, .. } => {
-                let _g = flush_lock.lock();
-                self.flush_mutex_locked();
-            }
-            Backend::Lockfree { stripes } => {
-                for s in stripes {
-                    let _baton = s.stripe.baton();
-                    self.flush_stripe_round(s);
-                }
-            }
+        for s in &self.stripes {
+            let _baton = s.stripe.baton();
+            self.flush_stripe_round(s);
         }
     }
 
-    /// Requires the flush lock. Writes all unwritten bytes, then fsyncs.
-    fn flush_mutex_locked(&self) {
-        let Backend::Mutex { disk, state, .. } = &self.backend else {
-            unreachable!("mutex flush on lockfree backend");
-        };
-        let (to_write, target_lsn, frames) = {
-            let mut st = state.lock();
-            let n = st.unwritten;
-            st.written_lsn = st.next_lsn;
-            st.unwritten = 0;
-            let frames = self.take_unpersisted(&mut st);
-            (n, st.next_lsn, frames)
-        };
-        if to_write > 0 || !frames.is_empty() {
-            self.write_mutex_bytes(disk, to_write, &frames);
-        }
-        {
-            let st = state.lock();
-            if st.flushed_lsn >= target_lsn {
-                return;
-            }
-        }
-        self.batch_hist.record(to_write);
-        // The fsync: the paper's `fil_flush` (crash-gated in file mode).
-        let t0 = now_nanos();
-        match &self.config.sink {
-            Some(sink) => {
-                sink.sync(0);
-            }
-            None => {
-                disk.flush(0);
-            }
-        }
-        let dur = now_nanos() - t0;
-        if let Some(p) = &self.probes {
-            p.profiler.add_event(p.fil_flush, t0, dur);
-        }
-        self.fsync_hist.record(dur);
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut st = state.lock();
-            st.flushed_lsn = st.flushed_lsn.max(target_lsn);
-        }
-        let acked = self.acks_pending.swap(0, Ordering::SeqCst);
-        if acked > 0 {
-            self.group_batch_hist.record(acked);
-        }
-    }
-
-    /// Requires the stripe's baton: write `published − written`, fsync if
-    /// anything new, account the group-commit batch, close an epoch, and
-    /// wake parked committers.
+    /// Requires the stripe's baton: write `published − written` into the
+    /// device cache (CRC frames through the file sink when one is set).
     fn write_stripe_pending(&self, s: &StripeLog) {
         s.stripe.drain();
         let target = s.stripe.published();
@@ -834,7 +541,9 @@ impl RedoLog {
         }
     }
 
-    /// Requires the stripe's baton. One full flush round.
+    /// Requires the stripe's baton. One full flush round: write, fsync if
+    /// anything new, account the group-commit batch, close an epoch, and
+    /// wake parked committers.
     fn flush_stripe_round(&self, s: &StripeLog) {
         self.write_stripe_pending(s);
         let target = s.stripe.written();
@@ -881,19 +590,13 @@ impl RedoLog {
     /// logs this reports stripe 0's durable offset; per-stripe cursors
     /// are available via [`RedoLog::stripe_cursors`].
     pub fn flushed_lsn(&self) -> Lsn {
-        match &self.backend {
-            Backend::Mutex { state, .. } => Lsn(state.lock().flushed_lsn),
-            Backend::Lockfree { stripes } => make_lsn(0, stripes[0].stripe.flushed()),
-        }
+        make_lsn(0, self.stripes[0].stripe.flushed())
     }
 
     /// Per-stripe `(reserved, published, written, flushed)` cursors for
-    /// invariant checks (empty for the mutex backend).
+    /// invariant checks.
     pub fn stripe_cursors(&self) -> Vec<(u64, u64, u64, u64)> {
-        match &self.backend {
-            Backend::Mutex { .. } => Vec::new(),
-            Backend::Lockfree { stripes } => stripes.iter().map(|s| s.stripe.cursors()).collect(),
-        }
+        self.stripes.iter().map(|s| s.stripe.cursors()).collect()
     }
 
     /// Snapshot of the fsync-latency histogram (ns per flush).
@@ -1259,44 +962,47 @@ mod tests {
 
     #[test]
     fn two_writers_stripe_by_txn_and_recover_everything() {
-        let log = RedoLog::with_disks(
-            RedoLogConfig {
-                policy: FlushPolicy::Eager,
-                writers: 2,
-                ..Default::default()
-            },
-            vec![seeded_disk(1), seeded_disk(2)],
-            None,
-        );
-        assert_eq!(log.writers(), 2);
-        // Odd txns land on stripe 1, even on stripe 0.
-        for txn in 1..=6u64 {
-            let lsn = log.append_records(
-                vec![
-                    LogRecord::Update {
-                        txn,
-                        table: 0,
-                        key: txn,
-                        after: vec![txn as i64],
-                    },
-                    LogRecord::Commit { txn },
-                ],
-                0,
+        for append in [AppendMode::Mutex, AppendMode::Lockfree] {
+            let log = RedoLog::with_disks(
+                RedoLogConfig {
+                    policy: FlushPolicy::Eager,
+                    append,
+                    writers: 2,
+                    ..Default::default()
+                },
+                vec![seeded_disk(1), seeded_disk(2)],
+                None,
             );
-            assert_eq!(
-                crate::lockfree::stripe_of(lsn),
-                txn as usize % 2,
-                "records stripe by txn id"
-            );
-            log.commit(lsn);
-        }
-        let committed = crate::committed_txns(&log.simulate_crash());
-        assert_eq!(committed, (1..=6).collect());
-        let cursors = log.stripe_cursors();
-        assert_eq!(cursors.len(), 2);
-        for (reserved, published, written, flushed) in cursors {
-            assert!(flushed <= written && written <= published && published <= reserved);
-            assert!(flushed > 0, "both stripes saw commits");
+            assert_eq!(log.writers(), 2);
+            // Odd txns land on stripe 1, even on stripe 0.
+            for txn in 1..=6u64 {
+                let lsn = log.append_records(
+                    vec![
+                        LogRecord::Update {
+                            txn,
+                            table: 0,
+                            key: txn,
+                            after: vec![txn as i64],
+                        },
+                        LogRecord::Commit { txn },
+                    ],
+                    0,
+                );
+                assert_eq!(
+                    crate::lockfree::stripe_of(lsn),
+                    txn as usize % 2,
+                    "records stripe by txn id ({append:?})"
+                );
+                log.commit(lsn);
+            }
+            let committed = crate::committed_txns(&log.simulate_crash());
+            assert_eq!(committed, (1..=6).collect());
+            let cursors = log.stripe_cursors();
+            assert_eq!(cursors.len(), 2);
+            for (reserved, published, written, flushed) in cursors {
+                assert!(flushed <= written && written <= published && published <= reserved);
+                assert!(flushed > 0, "both stripes saw commits");
+            }
         }
     }
 
@@ -1329,19 +1035,58 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_disabled_still_durable() {
+    fn mutex_mode_stamps_records_in_lsn_order() {
+        // Eight concurrent committers on one stripe: the append mutex
+        // covers stamping, so records merged by global seq (the crash
+        // snapshot's order) carry strictly increasing end LSNs. Without
+        // it, a later reservation can take an earlier seq.
         let log = RedoLog::new(
             RedoLogConfig {
                 policy: FlushPolicy::Eager,
-                group_commit: false,
+                append: AppendMode::Mutex,
                 ..Default::default()
             },
-            fast_disk(),
+            Arc::new(SimDisk::new(DiskConfig {
+                service: ServiceTime::Fixed(0),
+                ns_per_byte: 0.0,
+                seed: 5,
+            })),
             None,
         );
-        let lsn = log.append(64);
-        log.commit(lsn);
-        assert!(log.flushed_lsn() >= lsn);
+        std::thread::scope(|scope| {
+            for t in 0..8u64 {
+                let log = log.clone();
+                scope.spawn(move || {
+                    for i in 0..200u64 {
+                        let txn = t * 1_000 + i + 1;
+                        let lsn = log.append_records(
+                            vec![
+                                LogRecord::Update {
+                                    txn,
+                                    table: 0,
+                                    key: txn,
+                                    after: vec![txn as i64; 1 + (i % 4) as usize],
+                                },
+                                LogRecord::Commit { txn },
+                            ],
+                            0,
+                        );
+                        log.commit(lsn);
+                    }
+                });
+            }
+        });
+        log.flush_now();
+        let snap = log.simulate_crash();
+        assert_eq!(snap.len(), 8 * 200 * 2, "every record is durable");
+        for pair in snap.windows(2) {
+            assert!(
+                pair[0].end < pair[1].end,
+                "seq order must be LSN order: {} then {}",
+                pair[0].end,
+                pair[1].end
+            );
+        }
     }
 
     #[test]

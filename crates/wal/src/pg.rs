@@ -16,30 +16,29 @@
 //! and lock. A committer takes any free set; when all are busy it waits on
 //! the set with the fewest waiters.
 //!
-//! Two append paths coexist (see [`AppendMode`]):
+//! Each set is one [`Stripe`] (see [`crate::lockfree`]); its flush baton
+//! is the set's `WALWriteLock`. One mechanism, two configurations:
 //!
-//! * **Mutex** — backends serialize ticket issue on the set's state mutex
-//!   and flushing on the `WALWriteLock`, faithful to the measured
-//!   pathology.
-//! * **Lockfree** — reserve-then-copy (see [`crate::lockfree`]): a
-//!   backend claims its WAL bytes with one `fetch_add` on the set's
-//!   reserved cursor, publishes through the sequence-word ring, and
-//!   either grabs the set's flush baton or parks until a flush round
-//!   covers its bytes. The durability wait is still charged to the
-//!   `LWLockAcquireOrWait` probe — it is the same wait, minus the
-//!   append-side serialization.
+//! * **Mutex** — backends serialize their appends on the set's append
+//!   mutex and block on the baton until they can flush or find their
+//!   bytes flushed, faithful to the measured pathology.
+//! * **Lockfree** — a backend claims its WAL bytes with one `fetch_add`
+//!   on the set's reserved cursor, publishes through the sequence-word
+//!   ring, and either grabs the baton or parks until a flush round
+//!   covers its bytes.
+//!
+//! In both, the `LWLockAcquireOrWait` probe times only the wait for the
+//! baton (blocked or parked), never the backend's own write and fsync.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-use parking_lot::Mutex;
 
 use tpd_common::clock::now_nanos;
 use tpd_common::disk::DiskDevice;
 use tpd_metrics::{Histogram, HistogramSnapshot};
 use tpd_profiler::{FuncId, Profiler};
 
-use crate::lockfree::{AppendMode, Reservation, Stripe};
+use crate::lockfree::{AppendMode, Stripe};
 
 /// Configuration for the WAL writer.
 #[derive(Debug, Clone)]
@@ -58,12 +57,9 @@ pub struct WalWriterConfig {
     /// so acked bytes sit in the pending batch until someone else's
     /// commit flushes them.
     pub faults: Option<crate::WalFaultPlan>,
-    /// Append path: mutex-serialized (paper-faithful) or reserve-then-copy.
+    /// Stripe configuration: mutex-serialized (paper-faithful) or
+    /// reserve-then-copy.
     pub append: AppendMode,
-    /// Allow committers to park and share another backend's fsync
-    /// (lockfree path only; the mutex path always groups behind the
-    /// WALWriteLock).
-    pub group_commit: bool,
 }
 
 impl Default for WalWriterConfig {
@@ -74,7 +70,6 @@ impl Default for WalWriterConfig {
             per_block_overhead: std::time::Duration::from_micros(150),
             faults: None,
             append: AppendMode::Lockfree,
-            group_commit: true,
         }
     }
 }
@@ -84,7 +79,8 @@ impl Default for WalWriterConfig {
 pub struct PgWalProbes {
     /// The engine's profiler.
     pub profiler: Arc<Profiler>,
-    /// `LWLockAcquireOrWait` — wait for the WALWriteLock.
+    /// `LWLockAcquireOrWait` — wait for the WALWriteLock (the set's
+    /// flush baton).
     pub lwlock_acquire: FuncId,
 }
 
@@ -101,29 +97,16 @@ pub struct WalWriterStats {
     pub blocks_written: u64,
     /// Payload bytes requested (before padding).
     pub bytes_requested: u64,
-    /// Total ns spent waiting for a WALWriteLock.
+    /// Total ns spent waiting for a WALWriteLock (excluding the holder's
+    /// own write and fsync).
     pub lock_wait_ns: u64,
 }
 
-#[derive(Debug, Default)]
-struct SetState {
-    /// Ticket counter: each commit takes a ticket before flushing.
-    next_ticket: u64,
-    /// Highest ticket whose bytes are durable.
-    flushed_ticket: u64,
-    /// Bytes pending (appended by ticket holders, not yet flushed).
-    pending_bytes: u64,
-}
-
+/// One log set: its device and stripe.
 #[derive(Debug)]
 struct LogSet {
     disk: Arc<dyn DiskDevice>,
-    /// The WALWriteLock for this set (mutex append path).
-    write_lock: Mutex<()>,
-    state: Mutex<SetState>,
-    waiters: AtomicUsize,
-    /// Lock-free reservation state (lockfree append path; the typed
-    /// record machinery is unused here — pg commits are byte-counted).
+    /// Byte-counted stripe (pg commits retain no typed records).
     stripe: Stripe,
 }
 
@@ -164,10 +147,7 @@ impl WalWriter {
                 .into_iter()
                 .map(|disk| LogSet {
                     disk,
-                    write_lock: Mutex::new(()),
-                    state: Mutex::new(SetState::default()),
-                    waiters: AtomicUsize::new(0),
-                    stripe: Stripe::new(),
+                    stripe: Stripe::new(config.append),
                 })
                 .collect(),
             config,
@@ -189,106 +169,13 @@ impl WalWriter {
     pub fn commit(&self, bytes: u64) -> u64 {
         self.commits.fetch_add(1, Ordering::Relaxed);
         self.bytes_requested.fetch_add(bytes, Ordering::Relaxed);
-        match self.config.append {
-            AppendMode::Mutex => self.commit_mutex(bytes),
-            AppendMode::Lockfree => self.commit_lockfree(bytes),
-        }
-    }
-
-    /// Paper-faithful commit path: ticket under the state mutex, flush
-    /// under the WALWriteLock.
-    fn commit_mutex(&self, bytes: u64) -> u64 {
         let start = now_nanos();
 
-        let set_idx = self.choose_set();
-        let set = &self.sets[set_idx];
-
-        // Take a ticket: our bytes are now part of the set's pending batch.
-        let my_ticket = {
-            let mut st = set.state.lock();
-            st.next_ticket += 1;
-            st.pending_bytes += bytes;
-            st.next_ticket
-        };
-
-        if self
-            .config
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.ack_before_flush)
-        {
-            // Seeded bug: acknowledge with the bytes still pending.
-            let _ = my_ticket;
-            return now_nanos() - start;
-        }
-
-        // LWLockAcquireOrWait: either we acquire and flush, or we wait and
-        // discover the holder flushed us.
-        let lock_start = now_nanos();
-        set.waiters.fetch_add(1, Ordering::Relaxed);
-        let guard = set.write_lock.lock();
-        set.waiters.fetch_sub(1, Ordering::Relaxed);
-        let lock_wait = now_nanos() - lock_start;
-        self.lock_wait_ns.fetch_add(lock_wait, Ordering::Relaxed);
-        self.lock_wait_hist.record(lock_wait);
-        if let Some(p) = &self.probes {
-            p.profiler
-                .add_event(p.lwlock_acquire, lock_start, lock_wait);
-        }
-
-        // Group commit: flushed while we waited?
-        let (to_flush, flush_upto) = {
-            let mut st = set.state.lock();
-            if st.flushed_ticket >= my_ticket {
-                self.group_commits.fetch_add(1, Ordering::Relaxed);
-                drop(st);
-                drop(guard);
-                return now_nanos() - start;
-            }
-            let b = st.pending_bytes;
-            st.pending_bytes = 0;
-            (b, st.next_ticket)
-        };
-
-        // Flush block-quantized bytes: one sequential device write of the
-        // padded batch, a per-block syscall/command overhead, then fsync.
-        let blocks = to_flush.div_ceil(self.config.block_size).max(1);
-        set.disk.write(blocks * self.config.block_size);
-        if !self.config.per_block_overhead.is_zero() {
-            // Modeled time: real sleep normally, logical-clock bump under
-            // the harness's virtual clock.
-            let cost = self.config.per_block_overhead * blocks as u32;
-            tpd_common::clock::advance(cost.as_nanos() as u64);
-        }
-        set.disk.flush(0);
-        self.flushes.fetch_add(1, Ordering::Relaxed);
-        self.blocks_written.fetch_add(blocks, Ordering::Relaxed);
-        self.batch_hist.record(blocks);
-        {
-            let mut st = set.state.lock();
-            st.flushed_ticket = st.flushed_ticket.max(flush_upto);
-        }
-        drop(guard);
-        now_nanos() - start
-    }
-
-    /// Reserve-then-copy commit path: claim bytes with one `fetch_add`,
-    /// publish, then either flush (baton) or park until flushed.
-    fn commit_lockfree(&self, bytes: u64) -> u64 {
-        let start = now_nanos();
-
-        let set_idx = self.choose_set_lockfree();
-        let set = &self.sets[set_idx];
+        let set = &self.sets[self.pick_set()];
 
         // Even a "zero-byte" commit carries a commit record on the wire.
         let bytes = bytes.max(1);
-        let res_start = set.stripe.reserve(bytes);
-        let end = res_start + bytes;
-        set.stripe.publish(Reservation {
-            start: res_start,
-            end,
-            records: Vec::new(),
-        });
+        let end = set.stripe.append(bytes, |_| Vec::new()) + bytes;
         self.reserve_hist.record(now_nanos() - start);
 
         if self
@@ -301,36 +188,26 @@ impl WalWriter {
             return now_nanos() - start;
         }
 
-        // The durability wait — the same wait LWLockAcquireOrWait charged,
-        // minus the append-side serialization.
+        // LWLockAcquireOrWait: either we take the baton and flush, or we
+        // wait and discover the holder flushed us. Only the wait is
+        // charged to the probe; our own flush rounds are subtracted.
         let wait_start = now_nanos();
-        if set.stripe.flushed() >= end {
+        let mut own_flush_ns = 0;
+        let durable = || set.stripe.flushed() >= end;
+        if durable() {
             self.group_commits.fetch_add(1, Ordering::Relaxed);
         } else {
             set.stripe.acks_pending.fetch_add(1, Ordering::SeqCst);
-            // A flush round (even our own) may not cover our bytes: a
-            // concurrent backend holding a lower reservation that has not
-            // yet published blocks the watermark below us. Loop until
-            // some round lands past our bytes.
-            let mut flushed_self = false;
-            loop {
-                if set.stripe.flushed() >= end {
-                    if !flushed_self {
-                        self.group_commits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    break;
-                }
-                if let Some(_baton) = set.stripe.try_baton() {
-                    self.flush_set_round(set);
-                    flushed_self = true;
-                } else if self.config.group_commit {
-                    set.stripe.park_round(|| set.stripe.flushed() >= end);
-                } else {
-                    std::thread::yield_now();
-                }
+            let flushed_self = set.stripe.await_durable(durable, || {
+                let t0 = now_nanos();
+                self.flush_set_round(set);
+                own_flush_ns += now_nanos() - t0;
+            });
+            if !flushed_self {
+                self.group_commits.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let lock_wait = now_nanos() - wait_start;
+        let lock_wait = now_nanos() - wait_start - own_flush_ns;
         self.lock_wait_ns.fetch_add(lock_wait, Ordering::Relaxed);
         self.lock_wait_hist.record(lock_wait);
         if let Some(p) = &self.probes {
@@ -369,29 +246,9 @@ impl WalWriter {
         set.stripe.wake_all();
     }
 
-    /// Pick a log set: any immediately free one, else the one with the
-    /// fewest waiters (the paper's rule).
-    fn choose_set(&self) -> usize {
-        if self.sets.len() == 1 {
-            return 0;
-        }
-        for (i, set) in self.sets.iter().enumerate() {
-            if let Some(g) = set.write_lock.try_lock() {
-                drop(g); // probing only; the real acquisition happens later
-                return i;
-            }
-        }
-        self.sets
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.waiters.load(Ordering::Relaxed))
-            .map(|(i, _)| i)
-            .expect("at least one set")
-    }
-
-    /// Lockfree analogue of [`WalWriter::choose_set`]: a set whose flush
-    /// baton is free, else the one with the fewest parked committers.
-    fn choose_set_lockfree(&self) -> usize {
+    /// Pick a log set: one whose flush baton is free, else the one with
+    /// the fewest waiting committers (the paper's rule).
+    fn pick_set(&self) -> usize {
         if self.sets.len() == 1 {
             return 0;
         }
@@ -496,6 +353,11 @@ mod tests {
             assert_eq!(s.flushes, 1);
             assert_eq!(s.blocks_written, 1, "100 bytes pads to one block");
             assert_eq!(s.bytes_requested, 100);
+            assert!(
+                s.lock_wait_ns < 50_000,
+                "a solo committer's own flush is not lock wait ({append:?}): {} ns",
+                s.lock_wait_ns
+            );
         }
     }
 
@@ -527,6 +389,38 @@ mod tests {
             assert!(s.flushes < 8, "{} flushes for 8 commits", s.flushes);
             assert!(s.group_commits > 0);
         }
+    }
+
+    #[test]
+    fn mutex_convoy_lock_wait_excludes_flushers_own_rounds() {
+        // Eight committers convoy on one set's baton. Every flush round
+        // (write + fsync, at least 100 µs on these disks) runs inside
+        // some committer's commit, so the commit time left over after the
+        // lock wait must cover all of them; charging a flusher's own
+        // round to its lock wait would leave almost nothing.
+        let w = Arc::new(writer_with(1, 8192, AppendMode::Mutex));
+        let total_ns = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                let w = w.clone();
+                let total_ns = &total_ns;
+                scope.spawn(move || {
+                    for _ in 0..5 {
+                        total_ns.fetch_add(w.commit(64), Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        let s = w.stats();
+        assert_eq!(s.commits, 40);
+        assert!(s.lock_wait_ns > 0, "the convoy waited");
+        let outside_wait = total_ns.load(Ordering::Relaxed) - s.lock_wait_ns;
+        assert!(
+            outside_wait >= s.flushes * 100_000,
+            "{} flushes need {} ns outside the lock wait; got {outside_wait}",
+            s.flushes,
+            s.flushes * 100_000
+        );
     }
 
     #[test]
