@@ -21,7 +21,12 @@ use tpd_common::table::TextTable;
 use tpd_engine::{Engine, Policy};
 use tpd_workloads::{Tatp, Workload, Ycsb};
 
-const POLICIES: [Policy; 4] = [Policy::Fcfs, Policy::Vats, Policy::Random, Policy::Predictive];
+const POLICIES: [Policy; 4] = [
+    Policy::Fcfs,
+    Policy::Vats,
+    Policy::Random,
+    Policy::Predictive,
+];
 
 /// Expected Lp: `(1/n Σ l_i^p)^(1/p)` — the per-transaction loss the
 /// paper's schedulers minimize, so the figure is comparable across runs
@@ -69,16 +74,13 @@ fn run_mix(
 fn main() {
     let mut secs = 4.0;
     let mut args = std::env::args().skip(1);
+    // `cargo bench` forwards its own flags (e.g. --bench); ignore them.
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--secs" => {
-                secs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--secs needs a number")
-            }
-            // `cargo bench` forwards its own flags (e.g. --bench); ignore.
-            _ => {}
+        if a == "--secs" {
+            secs = args
+                .next()
+                .and_then(|v| v.parse().ok())
+                .expect("--secs needs a number");
         }
     }
     let mut table = TextTable::new(["mix", "policy", "L1 ms", "L2 ms", "Linf ms", "txns"]);
@@ -86,7 +88,11 @@ fn main() {
         Box::new(Tatp::install(e, 200))
     });
     run_mix("ycsb-zipf (update-heavy)", &mut table, secs, |e| {
-        Box::new(Ycsb::install_with_dist(e, 1_000, KeyDist::zipfian(1_000, 0.9)))
+        Box::new(Ycsb::install_with_dist(
+            e,
+            1_000,
+            KeyDist::zipfian(1_000, 0.9),
+        ))
     });
     println!("{}", table.render());
     println!("expected Lp loss per policy (paper eq. 4); lower is better");

@@ -201,9 +201,7 @@ impl NetArgs {
                         .map_err(|e| format!("--policy: {e}"))?
                 }
                 "--admit-defer-hot" => args.admit_defer_hot = true,
-                "--defer-max" => {
-                    args.defer_max = num(&raw("--defer-max")?, "--defer-max")? as u32
-                }
+                "--defer-max" => args.defer_max = num(&raw("--defer-max")?, "--defer-max")? as u32,
                 "--help" | "-h" => return Err(usage.to_string()),
                 other => return Err(format!("unknown flag {other}\n{usage}")),
             }
@@ -237,43 +235,23 @@ fn num(s: &str, name: &str) -> Result<u64, String> {
 
 /// An engine tuned for serving live network traffic: fast fixed devices
 /// (the network path is the experiment here, not the disk model) and no
-/// modeled statement round-trip — the wire provides the real one.
+/// modeled statement round-trip — the wire provides the real one. This
+/// is the engine [`start_tatp_server`] serves under default flags.
 pub fn served_engine(seed: u64) -> Arc<Engine> {
-    served_engine_with(seed, AppendMode::Lockfree, 1)
-}
-
-/// [`served_engine`] with the WAL append path and parallel-log count
-/// chosen by `--wal-append` / `--log-writers`.
-pub fn served_engine_with(seed: u64, wal_append: AppendMode, log_writers: usize) -> Arc<Engine> {
-    served_engine_cfg(
+    Engine::new(served_config(&NetArgs {
         seed,
-        wal_append,
-        log_writers,
-        DiskBackend::Sim,
-        None,
-        Concurrency::S2pl,
-        Policy::Fcfs,
-    )
+        ..NetArgs::default()
+    }))
 }
 
-/// [`served_engine`] with the full device selection: WAL append path,
-/// parallel-log count, the WAL backend (`--disk-backend` / `--data-dir`),
-/// the concurrency control mode (`--concurrency`), and the lock
-/// scheduling policy (`--policy`).
-#[allow(clippy::too_many_arguments)]
-pub fn served_engine_cfg(
-    seed: u64,
-    wal_append: AppendMode,
-    log_writers: usize,
-    disk_backend: DiskBackend,
-    data_dir: Option<&std::path::Path>,
-    concurrency: Concurrency,
-    policy: Policy,
-) -> Arc<Engine> {
+/// The served engine's configuration with the device and scheduling
+/// choices the flags name: `--wal-append`, `--log-writers`,
+/// `--disk-backend`/`--data-dir`, `--concurrency` and `--policy`.
+fn served_config(args: &NetArgs) -> EngineConfig {
     let disk = DiskConfig {
         service: ServiceTime::Fixed(20_000),
         ns_per_byte: 0.0,
-        seed,
+        seed: args.seed,
     };
     let mut cfg = EngineConfig {
         personality: Personality::Mysql,
@@ -282,16 +260,20 @@ pub fn served_engine_cfg(
         statement_rtt: None,
         lock_timeout: Some(Duration::from_secs(5)),
         lock_shards: 0,
-        seed,
-        ..EngineConfig::mysql(policy)
+        seed: args.seed,
+        ..EngineConfig::mysql(args.policy)
     }
-    .with_wal_append(wal_append)
-    .with_log_writers(log_writers)
-    .with_concurrency(concurrency);
-    if disk_backend == DiskBackend::File {
-        cfg = cfg.with_file_backend(data_dir.expect("file backend requires a data dir"));
+    .with_wal_append(args.wal_append)
+    .with_log_writers(args.log_writers)
+    .with_concurrency(args.concurrency);
+    if args.disk_backend == DiskBackend::File {
+        let dir = args
+            .data_dir
+            .clone()
+            .expect("file backend requires a data dir");
+        cfg = cfg.with_file_backend(dir);
     }
-    Engine::new(cfg)
+    cfg
 }
 
 /// Build the engine, install (or, on a file-backend restart, recover)
@@ -301,15 +283,7 @@ pub fn start_tatp_server(
     args: &NetArgs,
     addr: Option<&str>,
 ) -> std::io::Result<(Arc<Engine>, ServerHandle, WireTatp)> {
-    let engine = served_engine_cfg(
-        args.seed,
-        args.wal_append,
-        args.log_writers,
-        args.disk_backend,
-        args.data_dir.as_deref(),
-        args.concurrency,
-        args.policy,
-    );
+    let engine = Engine::new(served_config(args));
     let tatp = if args.disk_backend == DiskBackend::File {
         // Restart path: replay whatever the previous process persisted.
         // A checkpoint means the schema already exists — installing again
@@ -545,7 +519,10 @@ mod tests {
         assert!(adm.defer_hot);
         assert_eq!(adm.defer_max, 7);
 
-        assert_eq!(parse(&["--policy", "vats"]).expect("vats").policy, Policy::Vats);
+        assert_eq!(
+            parse(&["--policy", "vats"]).expect("vats").policy,
+            Policy::Vats
+        );
         assert!(parse(&["--policy", "lifo"]).is_err());
     }
 

@@ -273,7 +273,11 @@ mod tests {
         let run = || {
             let p = ConflictPredictor::default();
             for i in 0..500u64 {
-                let w = if i % 7 == 0 { WEIGHT_ABORT } else { WEIGHT_WAIT };
+                let w = if i % 7 == 0 {
+                    WEIGHT_ABORT
+                } else {
+                    WEIGHT_WAIT
+                };
                 p.observe((i % 5) as u8, key(i % 13), w);
             }
             (0..13).map(|k| p.predict(2, &[key(k)])).collect::<Vec<_>>()

@@ -65,10 +65,8 @@ fn grant_order(policy: Policy, waiters: &[(u64, u64)]) -> Vec<u64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24, // each case runs two thread-scoped drains
-        ..ProptestConfig::default()
-    })]
+    // Each case runs two thread-scoped drains.
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Zero history (every footprint 0) ⇒ the predictive grant order is
     /// identical to VATS, whatever order the waiters arrived in.
@@ -117,5 +115,9 @@ fn reversed_births_zero_footprint_matches_vats() {
     let predictive = grant_order(Policy::Predictive, &waiters);
     let vats = grant_order(Policy::Vats, &waiters);
     assert_eq!(predictive, vats);
-    assert_eq!(predictive, vec![5, 4, 3, 2, 1], "eldest (smallest birth) first");
+    assert_eq!(
+        predictive,
+        vec![5, 4, 3, 2, 1],
+        "eldest (smallest birth) first"
+    );
 }

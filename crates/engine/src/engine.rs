@@ -495,7 +495,7 @@ impl Engine {
             // Integer percent so the snapshot stays byte-deterministic.
             m.set_counter(
                 "sched.prediction_hit_rate",
-                if total > 0 { hits * 100 / total } else { 0 },
+                (hits * 100).checked_div(total).unwrap_or(0),
             );
             m.set_counter("sched.conflict_events", p.events());
         }
@@ -1805,8 +1805,15 @@ mod tests {
             }
             setup.commit().expect("setup");
         }
-        let p = e.predictor().expect("predictive policy has a predictor").clone();
-        assert_eq!(e.begin_with_keys(1, &[(t, 3)]).footprint(), 0, "no history yet");
+        let p = e
+            .predictor()
+            .expect("predictive policy has a predictor")
+            .clone();
+        assert_eq!(
+            e.begin_with_keys(1, &[(t, 3)]).footprint(),
+            0,
+            "no history yet"
+        );
         // Teach the predictor that key 3 is hot, straight through its
         // observation API (the engine feeds it the same way from waits).
         for _ in 0..8 {

@@ -124,7 +124,10 @@ enum WaiterKind {
     /// A blocked thread (condvar-woken); it grants itself on wake.
     Sync,
     /// A parked callback; the releasing thread grants it directly.
-    Async { enqueued_at: Instant, notify: GrantFn },
+    Async {
+        enqueued_at: Instant,
+        notify: GrantFn,
+    },
 }
 
 impl std::fmt::Debug for Waiter {
@@ -133,7 +136,11 @@ impl std::fmt::Debug for Waiter {
             WaiterKind::Sync => "Sync",
             WaiterKind::Async { .. } => "Async",
         };
-        write!(f, "{kind}({}, hot={}, bypassed={})", self.ticket, self.hot, self.bypassed)
+        write!(
+            f,
+            "{kind}({}, hot={}, bypassed={})",
+            self.ticket, self.hot, self.bypassed
+        )
     }
 }
 
@@ -240,7 +247,11 @@ impl AdmissionController {
                 break;
             }
             let w = self.take_eligible(state, idx);
-            let WaiterKind::Async { enqueued_at, notify } = w.kind else {
+            let WaiterKind::Async {
+                enqueued_at,
+                notify,
+            } = w.kind
+            else {
                 unreachable!("eligible checked to be Async");
             };
             state.in_flight += 1;
@@ -758,7 +769,9 @@ mod tests {
         drop(p1);
         let p2 = rxs[2].recv_timeout(Duration::from_secs(2)).expect("cool 2");
         drop(p2);
-        let p0 = rxs[0].recv_timeout(Duration::from_secs(2)).expect("hot last");
+        let p0 = rxs[0]
+            .recv_timeout(Duration::from_secs(2))
+            .expect("hot last");
         drop(p0);
         assert_eq!(*order.lock(), vec![1, 2, 0]);
         assert_eq!(c.deferred_total.get(), 2, "one bypass per leapfrog");

@@ -115,12 +115,7 @@ impl Conn {
     pub fn call(&mut self, request: &Frame) -> Result<Frame, ClientError> {
         write_frame(&mut self.writer, request)?;
         self.writer.flush()?;
-        match read_frame(&mut self.reader) {
-            Ok(Some(f)) => Ok(f),
-            Ok(None) => Err(ClientError::Protocol("server closed connection".into())),
-            Err(FrameReadError::Io(e)) => Err(ClientError::Io(e)),
-            Err(e) => Err(ClientError::Protocol(e.to_string())),
-        }
+        self.recv()
     }
 
     fn expect(&mut self, request: &Frame) -> Result<Frame, ClientError> {

@@ -12,11 +12,13 @@
 //! * [`admission`] — the admission controller between accept and
 //!   execute: bounded execution slots, a FIFO/deadline queue with a
 //!   configurable cap, and typed `RETRY_LATER` load shedding;
-//! * [`server`] — the TCP server translating frames into
+//! * [`server`] — the TCP server and its sans-I/O request core, which
+//!   decides once what each frame means and translates it into
 //!   [`tpd_engine::Session`] calls, with `server.*` metrics
 //!   (`admission_wait_ns`, `shed_total`, `open_conns`, ...) wired into
-//!   the engine's snapshot. Two concurrency models behind one flag:
-//!   thread-per-connection (the baseline) and the evented [`reactor`];
+//!   the engine's snapshot. Two concurrency models behind one flag
+//!   share the core: thread-per-connection (the baseline) and the
+//!   evented [`reactor`];
 //! * [`reactor`] — the readiness-driven front end: one reactor thread
 //!   multiplexing nonblocking sockets, per-connection state machines,
 //!   and a bounded worker pool as the execution stage;
@@ -24,8 +26,9 @@
 //! * [`muxclient`] — a multiplexed TATP driver: one thread driving
 //!   thousands of connections through the same poller, for
 //!   high-connection-count load generation;
-//! * [`wire_tatp`] — the TATP mix replayed over the wire for the
-//!   closed-loop load generator and the end-to-end suite.
+//! * [`wire_tatp`] — the TATP mix as one statement script per
+//!   transaction, walked by both drivers, for the load generators and
+//!   the end-to-end suite.
 
 pub mod admission;
 pub mod client;

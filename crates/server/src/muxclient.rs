@@ -4,12 +4,13 @@
 //! The thread-per-connection [`crate::client::Conn`] caps a load
 //! generator at a few hundred concurrent connections — exactly the
 //! cliff the evented server exists to remove — so the 5k+ connection
-//! experiments need an evented *client* too. Each connection runs the
-//! standard TATP script as a state machine (mirroring
-//! [`WireTatp::execute`] statement for statement: BEGIN → typed
+//! experiments need an evented *client* too. Each connection walks
+//! [`WireTatp::statement`]'s script as a state machine (BEGIN → typed
 //! statements → COMMIT, with read-modify-write rows derived from the
-//! previous `Row` reply), so the logical workload is identical to the
-//! blocking driver's; only the socket discipline differs.
+//! previous `Row` reply) — the same script [`WireTatp::execute`] walks —
+//! and splits replies with the framing rule the server's reactor uses
+//! ([`crate::protocol::split_frame`]); only the socket discipline
+//! differs from the blocking driver.
 //!
 //! Sheds (`RETRY_LATER` at BEGIN) and engine aborts
 //! (deadlock/lock-timeout) are expected outcomes: the connection moves
@@ -28,8 +29,8 @@ use rand::SeedableRng;
 
 use tpd_common::poll::{Interest, PollEvent, Poller, Token};
 
-use crate::protocol::{ErrorCode, Frame, MAX_FRAME_LEN};
-use crate::wire_tatp::{txn_type, WireSpec, WireTatp, AI_PER_SUB, SF_PER_SUB};
+use crate::protocol::{split_frame, ErrorCode, Frame, Split};
+use crate::wire_tatp::{WireSpec, WireTatp};
 
 /// Mux driver configuration.
 #[derive(Debug, Clone)]
@@ -123,112 +124,6 @@ struct MuxConn {
     interest: Interest,
 }
 
-/// The `i`th statement of `spec`'s script, or `None` past the last
-/// (⇒ COMMIT next). Mirrors [`WireTatp::execute`] exactly; `saved` is
-/// the row from the previous `Row` reply for the RMW steps.
-fn script_stmt(
-    w: &WireTatp,
-    spec: &WireSpec,
-    i: usize,
-    saved: &mut Option<Vec<i64>>,
-) -> Option<Frame> {
-    use txn_type::*;
-    let (s, sf, val) = (spec.s, spec.sf, spec.val);
-    let sfk = s * SF_PER_SUB + sf;
-    let taken = |saved: &mut Option<Vec<i64>>| saved.take().unwrap_or_default();
-    match (spec.ty, i) {
-        (GET_SUBSCRIBER, 0) => Some(Frame::Read {
-            table: w.subscriber,
-            key: s,
-        }),
-        (GET_NEW_DEST, 0) => Some(Frame::Read {
-            table: w.special_facility,
-            key: sfk,
-        }),
-        (GET_NEW_DEST, 1) => Some(Frame::Read {
-            table: w.call_forwarding,
-            key: sfk,
-        }),
-        (GET_ACCESS, 0) => Some(Frame::Read {
-            table: w.access_info,
-            key: s * AI_PER_SUB + (sf % AI_PER_SUB),
-        }),
-        (UPD_SUBSCRIBER, 0) => Some(Frame::Read {
-            table: w.subscriber,
-            key: s,
-        }),
-        (UPD_SUBSCRIBER, 1) => {
-            let mut row = taken(saved);
-            if row.len() > 1 {
-                row[1] ^= 1;
-            }
-            Some(Frame::Update {
-                table: w.subscriber,
-                key: s,
-                row,
-            })
-        }
-        (UPD_SUBSCRIBER, 2) => Some(Frame::Read {
-            table: w.special_facility,
-            key: sfk,
-        }),
-        (UPD_SUBSCRIBER, 3) => {
-            let mut fac = taken(saved);
-            if fac.len() > 2 {
-                fac[2] = val;
-            }
-            Some(Frame::Update {
-                table: w.special_facility,
-                key: sfk,
-                row: fac,
-            })
-        }
-        (UPD_LOCATION, 0) => Some(Frame::Read {
-            table: w.subscriber,
-            key: s,
-        }),
-        (UPD_LOCATION, 1) => {
-            let mut row = taken(saved);
-            if row.len() > 3 {
-                row[3] = val;
-            }
-            Some(Frame::Update {
-                table: w.subscriber,
-                key: s,
-                row,
-            })
-        }
-        (INS_CALL_FWD, 0) => Some(Frame::Read {
-            table: w.subscriber,
-            key: s,
-        }),
-        (INS_CALL_FWD, 1) => Some(Frame::Read {
-            table: w.special_facility,
-            key: sfk,
-        }),
-        (INS_CALL_FWD, 2) => Some(Frame::Insert {
-            table: w.call_forwarding,
-            row: vec![s as i64, sf as i64, 1],
-        }),
-        (DEL_CALL_FWD, 0) => Some(Frame::Read {
-            table: w.call_forwarding,
-            key: sfk,
-        }),
-        (DEL_CALL_FWD, 1) => {
-            let mut row = taken(saved);
-            if row.len() > 2 {
-                row[2] = 0;
-            }
-            Some(Frame::Update {
-                table: w.call_forwarding,
-                key: sfk,
-                row,
-            })
-        }
-        _ => None,
-    }
-}
-
 impl MuxConn {
     fn new(stream: TcpStream, rng: SmallRng, txns: u64) -> io::Result<MuxConn> {
         let fd = stream.as_raw_fd();
@@ -276,7 +171,7 @@ impl MuxConn {
     /// Advance past a completed statement: send the next one, or COMMIT.
     fn advance(&mut self, wire: &WireTatp, next_stmt: usize) {
         let spec = self.spec;
-        match script_stmt(wire, &spec, next_stmt, &mut self.saved) {
+        match wire.statement(&spec, next_stmt, &mut self.saved) {
             Some(frame) => {
                 self.inflight = InFlight::Stmt(next_stmt);
                 self.queue(&frame);
@@ -367,22 +262,13 @@ impl MuxConn {
             }
         }
         loop {
-            if self.rbuf.len() < 4 {
-                return ConnStatus::Active;
-            }
-            let len = u32::from_le_bytes(self.rbuf[..4].try_into().expect("4 bytes")) as usize;
-            if !(2..=MAX_FRAME_LEN).contains(&len) {
-                report.protocol_errors += 1;
-                return ConnStatus::Broken;
-            }
-            if self.rbuf.len() < 4 + len {
-                return ConnStatus::Active;
-            }
-            let payload: Vec<u8> = self.rbuf[4..4 + len].to_vec();
-            self.rbuf.drain(..4 + len);
-            let frame = match Frame::decode(&payload) {
-                Ok(f) => f,
-                Err(_) => {
+            let frame = match split_frame(&self.rbuf) {
+                Split::Incomplete => return ConnStatus::Active,
+                Split::Frame(n, Ok(frame)) => {
+                    self.rbuf.drain(..n);
+                    frame
+                }
+                Split::Frame(_, Err(_)) | Split::Poison(_) => {
                     report.protocol_errors += 1;
                     return ConnStatus::Broken;
                 }
@@ -505,64 +391,4 @@ pub fn run_mux(addr: SocketAddr, wire: &WireTatp, cfg: &MuxConfig) -> io::Result
         }
     }
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The mux scripts must be statement-for-statement identical to
-    /// [`WireTatp::execute`]'s sequences.
-    #[test]
-    fn script_lengths_match_the_blocking_driver() {
-        use txn_type::*;
-        let w = WireTatp::fresh_install(100);
-        let expected = [
-            (GET_SUBSCRIBER, 1),
-            (GET_NEW_DEST, 2),
-            (GET_ACCESS, 1),
-            (UPD_SUBSCRIBER, 4),
-            (UPD_LOCATION, 2),
-            (INS_CALL_FWD, 3),
-            (DEL_CALL_FWD, 2),
-        ];
-        for (ty, want) in expected {
-            let spec = WireSpec {
-                ty,
-                s: 7,
-                sf: 2,
-                val: 55,
-            };
-            let mut saved = Some(vec![0i64; 8]);
-            let mut n = 0;
-            while script_stmt(&w, &spec, n, &mut saved).is_some() {
-                saved = Some(vec![0i64; 8]); // refresh the RMW row
-                n += 1;
-            }
-            assert_eq!(n, want, "txn type {ty} statement count");
-        }
-    }
-
-    #[test]
-    fn rmw_steps_transform_the_saved_row() {
-        use txn_type::*;
-        let w = WireTatp::fresh_install(100);
-        let spec = WireSpec {
-            ty: UPD_SUBSCRIBER,
-            s: 3,
-            sf: 1,
-            val: 99,
-        };
-        let mut saved = Some(vec![10, 20, 30, 40]);
-        let frame = script_stmt(&w, &spec, 1, &mut saved).expect("update step");
-        match frame {
-            Frame::Update { table, key, row } => {
-                assert_eq!(table, w.subscriber);
-                assert_eq!(key, 3);
-                assert_eq!(row, vec![10, 21, 30, 40], "bit flip on col 1");
-            }
-            other => panic!("expected update, got {other:?}"),
-        }
-        assert!(saved.is_none(), "row consumed");
-    }
 }

@@ -501,6 +501,43 @@ impl std::fmt::Display for FrameReadError {
 
 impl std::error::Error for FrameReadError {}
 
+/// The framing rule every reader applies to a length prefix: a payload
+/// of `2 ..= MAX_FRAME_LEN` bytes, or [`WireError::BadLength`].
+fn payload_len(prefix: [u8; 4]) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if (2..=MAX_FRAME_LEN).contains(&len) {
+        Ok(len)
+    } else {
+        Err(WireError::BadLength { len: len as u64 })
+    }
+}
+
+/// What the front of a receive buffer holds (see [`split_frame`]).
+#[derive(Debug)]
+pub enum Split {
+    /// Not yet one whole frame; read more.
+    Incomplete,
+    /// One delimited frame: consume this many bytes (length prefix
+    /// included) whatever the decode result; the stream stays framable.
+    Frame(usize, Result<Frame, WireError>),
+    /// The length prefix is out of range: the stream can no longer be
+    /// framed, so nothing after this point can be read.
+    Poison(WireError),
+}
+
+/// Split the next frame off the front of `buf` — the nonblocking
+/// counterpart of [`read_frame`] for readers that accumulate bytes.
+pub fn split_frame(buf: &[u8]) -> Split {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Split::Incomplete;
+    };
+    match payload_len(*prefix) {
+        Err(e) => Split::Poison(e),
+        Ok(len) if buf.len() < 4 + len => Split::Incomplete,
+        Ok(len) => Split::Frame(4 + len, Frame::decode(&buf[4..4 + len])),
+    }
+}
+
 /// Read one frame. `Ok(None)` is a clean close (EOF exactly on a frame
 /// boundary); an EOF inside a frame is [`FrameReadError::Eof`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameReadError> {
@@ -515,12 +552,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, FrameReadError> {
             Err(e) => return Err(FrameReadError::Io(e)),
         }
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if !(2..=MAX_FRAME_LEN).contains(&len) {
-        return Err(FrameReadError::Wire(WireError::BadLength {
-            len: len as u64,
-        }));
-    }
+    let len = payload_len(len_buf).map_err(FrameReadError::Wire)?;
     let mut payload = vec![0u8; len];
     if let Err(e) = r.read_exact(&mut payload) {
         return Err(if e.kind() == io::ErrorKind::UnexpectedEof {

@@ -7,8 +7,8 @@
 //! ```text
 //!                    ┌────────────────────────────────────────┐
 //!    accept ───────▶ │  reactor thread (epoll/poll readiness) │
-//!    nonblocking     │  per-conn: read-accumulate → decode    │
-//!    sockets         │  → dispatch → write-drain              │
+//!    nonblocking     │  per-conn: read-accumulate → split     │
+//!    sockets         │  → step → write-drain                  │
 //!                    └───────┬───────────────────▲────────────┘
 //!                            │ Job{session,      │ Resume::Done /
 //!                            │     permit,frame} │ Resume::Admitted
@@ -20,29 +20,36 @@
 //! ```
 //!
 //! The reactor owns every connection's buffers and its [`Session`]
-//! while the connection is at rest. Exactly one operation per
-//! connection is in flight at a time: when an in-transaction frame is
-//! dispatched, the session **and the admission permit move into the
-//! job**, the connection is marked `executing`, and no further frames
-//! are decoded for it until the worker posts `Resume::Done` back
-//! (returning the session, the reply, and the permit — unless the
-//! frame ended the transaction, in which case the worker dropped the
-//! permit and the slot is already free).
+//! while the connection is at rest. It splits frames off the read
+//! buffer with [`crate::protocol::split_frame`] and hands each to the
+//! request core ([`crate::server`]'s `step`), which decides what the
+//! frame means; the reactor only decides where each step runs:
 //!
-//! Only frames from permit-holding sessions reach the worker pool —
-//! BEGIN, METRICS, transaction-state errors, and protocol errors are
-//! handled inline on the reactor (none of them can block on engine
-//! locks). With the default pool size of one worker per admission
-//! slot, every admitted transaction can always occupy a worker, so
-//! COMMIT frames cannot starve behind lock waits.
+//! * `Step::Reply` (METRICS, state errors, malformed frames) is
+//!   answered inline: it cannot block.
+//! * `Step::Admit` (BEGIN) never blocks either: it uses
+//!   [`AdmissionController::try_admit_or_enqueue_hot`] and, when no
+//!   slot is free, parks the connection in `awaiting`; the grant
+//!   callback posts `Resume::Admitted` and wakes the poller.
+//! * `Step::Execute` — the only step that can block, on engine locks
+//!   or the log — goes to the worker pool. Exactly one operation per
+//!   connection is in flight at a time: the session **and the
+//!   admission permit move into the job**, the connection is marked
+//!   `executing`, and no further frames are split for it until the
+//!   worker posts `Resume::Done` back (returning the session, the
+//!   reply, and the permit — unless the frame ended the transaction,
+//!   in which case the worker dropped the permit and the slot is
+//!   already free).
 //!
-//! Admission from the reactor never blocks: BEGIN uses
-//! [`AdmissionController::try_admit_or_enqueue`] and parks the
-//! connection in `AwaitingAdmission`; the grant callback posts
-//! `Resume::Admitted` and wakes the poller. The reactor enforces the
-//! queue deadline itself (periodic sweep + [`AdmissionController::cancel`]),
-//! and the same sweep applies the per-connection idle deadline that
-//! reclaims sessions and permits from half-open clients.
+//! The core executes only frames from permit-holding sessions, so with
+//! the default pool size of one worker per admission slot every
+//! admitted transaction can always occupy a worker, and COMMIT frames
+//! cannot starve behind lock waits.
+//!
+//! The reactor enforces the admission queue deadline itself (periodic
+//! sweep + [`AdmissionController::cancel`], answered with the core's
+//! shed reply), and the same sweep applies the per-connection idle
+//! deadline that reclaims sessions and permits from half-open clients.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -56,16 +63,16 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use tpd_common::poll::{Interest, PollEvent, Poller, Token, Waker};
-use tpd_engine::{Session, SessionError, TxnType};
+use tpd_engine::{Session, TxnType};
 use tpd_metrics::{Counter, Histogram};
 
 #[allow(unused_imports)] // doc links
 use crate::admission::AdmissionController;
-use crate::admission::{AdmitAttempt, Permit};
-use crate::protocol::{ErrorCode, Frame, WireError, MAX_FRAME_LEN};
+use crate::admission::{AdmitAttempt, Permit, Shed};
+use crate::protocol::{split_frame, Frame, Split};
 use crate::server::{
-    accept_with_faults, begin_is_hot, classify_accept_error, execute_txn_frame, metrics_reply,
-    reject_over_limit, session_error_reply, AcceptDisposition, Shared, ACCEPT_BACKOFF,
+    accept_with_faults, begin, classify_accept_error, execute, reject_over_limit, shed_reply, step,
+    AcceptDisposition, Shared, Step, ACCEPT_BACKOFF,
 };
 
 /// Token for the listening socket (`usize::MAX` is the poller's waker).
@@ -79,14 +86,15 @@ const RBUF_PAUSE: usize = 64 * 1024;
 /// within one sweep).
 const SWEEP_EVERY: Duration = Duration::from_millis(20);
 
-/// Work shipped to the pool: the frame plus ownership of the session
-/// and the admission permit for the duration of the execution.
+/// Work shipped to the pool: a [`Step::Execute`] frame plus ownership
+/// of the session and the admission permit for the duration of the
+/// execution.
 struct Job {
     idx: usize,
     gen: u64,
     frame: Frame,
     session: Session,
-    permit: Permit,
+    permit: Option<Permit>,
 }
 
 /// Completion posted back to the reactor (paired with a waker kick).
@@ -281,16 +289,12 @@ fn worker_loop(jobs: &JobQueue, resumes: &Mutex<Vec<Resume>>, waker: &Waker) {
             gen,
             frame,
             mut session,
-            permit,
+            mut permit,
         } = job;
-        let mut permit = Some(permit);
-        let (reply, release) = execute_txn_frame(&mut session, frame);
-        if release {
-            // Slot freed here, from the worker: the next admission
-            // grant (sync wakeup or async callback) fires immediately,
-            // not a reactor tick later.
-            permit = None;
-        }
+        // A transaction that ends frees its slot here, from the worker:
+        // the next admission grant (sync wakeup or async callback) fires
+        // immediately, not a reactor tick later.
+        let reply = execute(&mut session, &mut permit, frame);
         resumes.lock().push(Resume::Done {
             idx,
             gen,
@@ -467,199 +471,78 @@ impl Reactor {
         self.update_interest(idx);
     }
 
-    /// Decode and dispatch complete frames; stops at partial input, at
-    /// a dispatched operation (one in flight per connection), or at a
-    /// poisoned stream.
+    /// Split and carry out complete frames; stops at partial input, at
+    /// an operation in flight (one per connection), or at a poisoned
+    /// stream.
     fn process_rbuf(&mut self, idx: usize) {
-        enum Parsed {
-            Incomplete,
-            /// Decode error on a delimited frame: answer, keep framing.
-            Reply(Frame),
-            /// Length-prefix desync: answer, then close after drain.
-            Poison(Frame),
-            Dispatch(Frame),
-        }
         loop {
-            let parsed = {
-                let Some(conn) = self.conns[idx].as_mut() else {
-                    return;
-                };
-                if conn.dead || conn.close_after_drain || conn.executing || conn.awaiting.is_some()
-                {
-                    return;
-                }
-                if conn.rbuf.len() < 4 {
-                    Parsed::Incomplete
-                } else {
-                    let len =
-                        u32::from_le_bytes(conn.rbuf[..4].try_into().expect("4 bytes")) as usize;
-                    if !(2..=MAX_FRAME_LEN).contains(&len) {
-                        self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        conn.close_after_drain = true;
-                        Parsed::Poison(Frame::Error {
-                            code: ErrorCode::Malformed,
-                            detail: WireError::BadLength { len: len as u64 }.to_string(),
-                        })
-                    } else if conn.rbuf.len() < 4 + len {
-                        Parsed::Incomplete
-                    } else {
-                        let payload: Vec<u8> = conn.rbuf[4..4 + len].to_vec();
-                        conn.rbuf.drain(..4 + len);
-                        match Frame::decode(&payload) {
-                            Ok(frame) => {
-                                self.shared.frames.fetch_add(1, Ordering::Relaxed);
-                                Parsed::Dispatch(frame)
-                            }
-                            Err(e) => {
-                                // Everything but BadLength consumes
-                                // exactly one delimited frame; the
-                                // stream stays framable.
-                                self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                                Parsed::Reply(Frame::Error {
-                                    code: ErrorCode::Malformed,
-                                    detail: e.to_string(),
-                                })
-                            }
-                        }
-                    }
-                }
-            };
-            match parsed {
-                Parsed::Incomplete => return,
-                Parsed::Reply(f) => self.queue_reply(idx, f),
-                Parsed::Poison(f) => {
-                    self.queue_reply(idx, f);
-                    return;
-                }
-                Parsed::Dispatch(frame) => self.dispatch(idx, frame),
-            }
-        }
-    }
-
-    fn dispatch(&mut self, idx: usize, frame: Frame) {
-        match frame {
-            Frame::Begin { ty } => {
-                let in_txn = {
-                    let Some(conn) = self.conns[idx].as_ref() else {
-                        return;
-                    };
-                    conn.session
-                        .as_ref()
-                        .expect("idle conn owns session")
-                        .in_txn()
-                };
-                if in_txn {
-                    let reply = session_error_reply(SessionError::TxnAlreadyActive);
-                    self.queue_reply(idx, reply);
-                    return;
-                }
-                let gen = self.gens[idx];
-                let resumes = self.resumes.clone();
-                let waker = self.waker.clone();
-                let attempt = self.shared.admission.try_admit_or_enqueue_hot(
-                    Box::new(move |permit| {
-                        resumes.lock().push(Resume::Admitted { idx, gen, permit });
-                        waker.wake();
-                    }),
-                    begin_is_hot(&self.shared, ty),
-                );
-                match attempt {
-                    AdmitAttempt::Admitted(permit) => self.begin_txn(idx, permit, ty),
-                    AdmitAttempt::Queued(ticket) => {
-                        let deadline = Instant::now() + self.shared.config.admission.queue_deadline;
-                        if let Some(conn) = self.conns[idx].as_mut() {
-                            conn.awaiting = Some(AwaitState {
-                                ticket,
-                                ty,
-                                deadline,
-                            });
-                        }
-                    }
-                    AdmitAttempt::Shed(shed) => self.queue_reply(
-                        idx,
-                        Frame::Error {
-                            code: ErrorCode::RetryLater,
-                            detail: shed.to_string(),
-                        },
-                    ),
-                }
-            }
-            Frame::Metrics => {
-                let reply = metrics_reply(self.shared.snapshot());
-                self.queue_reply(idx, reply);
-            }
-            Frame::Read { .. }
-            | Frame::Update { .. }
-            | Frame::Insert { .. }
-            | Frame::Commit
-            | Frame::Abort => {
-                let has_permit = self.conns[idx].as_ref().is_some_and(|c| c.permit.is_some());
-                if has_permit {
-                    // Ship session + permit to the pool; nothing else
-                    // runs on this connection until Resume::Done.
-                    let (gen, session, permit) = {
-                        let conn = self.conns[idx].as_mut().expect("checked above");
-                        conn.executing = true;
-                        (
-                            self.gens[idx],
-                            conn.session.take().expect("idle conn owns session"),
-                            conn.permit.take().expect("checked above"),
-                        )
-                    };
-                    self.jobs.push(Job {
-                        idx,
-                        gen,
-                        frame,
-                        session,
-                        permit,
-                    });
-                } else {
-                    // No open transaction: a pure state error — cannot
-                    // touch engine locks, safe inline on the reactor.
-                    let reply = {
-                        let conn = self.conns[idx].as_mut().expect("checked above");
-                        execute_txn_frame(
-                            conn.session.as_mut().expect("idle conn owns session"),
-                            frame,
-                        )
-                        .0
-                    };
-                    self.queue_reply(idx, reply);
-                }
-            }
-            other => {
-                self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                self.queue_reply(
-                    idx,
-                    Frame::Error {
-                        code: ErrorCode::Malformed,
-                        detail: format!("frame kind 0x{:02x} is not a request", other.kind()),
-                    },
-                );
-            }
-        }
-    }
-
-    fn begin_txn(&mut self, idx: usize, permit: Permit, ty: TxnType) {
-        let reply = {
             let Some(conn) = self.conns[idx].as_mut() else {
-                return; // permit drops ⇒ slot freed
+                return;
             };
-            if conn.dead {
+            if conn.dead || conn.close_after_drain || conn.executing || conn.awaiting.is_some() {
                 return;
             }
-            match conn
-                .session
-                .as_mut()
-                .expect("idle conn owns session")
-                .begin(ty)
-            {
-                Ok(txn_id) => {
-                    conn.permit = Some(permit);
-                    Frame::TxnBegun { txn_id }
+            let decoded = match split_frame(&conn.rbuf) {
+                Split::Incomplete => return,
+                Split::Frame(n, decoded) => {
+                    conn.rbuf.drain(..n);
+                    decoded
                 }
-                Err(e) => session_error_reply(e), // permit drops at scope end
+                Split::Poison(e) => {
+                    // Answer, then close once the reply drains.
+                    conn.close_after_drain = true;
+                    Err(e)
+                }
+            };
+            match step(&self.shared, conn.permit.is_some(), decoded) {
+                Step::Reply(reply) => self.queue_reply(idx, reply),
+                Step::Admit { ty, hot } => self.admit(idx, ty, hot),
+                Step::Execute(frame) => {
+                    // Ship session + permit to the pool; nothing else
+                    // runs on this connection until Resume::Done.
+                    conn.executing = true;
+                    self.jobs.push(Job {
+                        idx,
+                        gen: self.gens[idx],
+                        frame,
+                        session: conn.session.take().expect("idle conn owns session"),
+                        permit: conn.permit.take(),
+                    });
+                }
             }
+        }
+    }
+
+    /// Carry out [`Step::Admit`] without blocking: begin now if a slot
+    /// is free, else park the connection until `Resume::Admitted`.
+    fn admit(&mut self, idx: usize, ty: TxnType, hot: bool) {
+        let gen = self.gens[idx];
+        let resumes = self.resumes.clone();
+        let waker = self.waker.clone();
+        let attempt = self.shared.admission.try_admit_or_enqueue_hot(
+            Box::new(move |permit| {
+                resumes.lock().push(Resume::Admitted { idx, gen, permit });
+                waker.wake();
+            }),
+            hot,
+        );
+        let conn = self.conns[idx].as_mut().expect("admitting conn is live");
+        let reply = match attempt {
+            AdmitAttempt::Admitted(granted) => begin(
+                conn.session.as_mut().expect("idle conn owns session"),
+                &mut conn.permit,
+                granted,
+                ty,
+            ),
+            AdmitAttempt::Queued(ticket) => {
+                conn.awaiting = Some(AwaitState {
+                    ticket,
+                    ty,
+                    deadline: Instant::now() + self.shared.config.admission.queue_deadline,
+                });
+                return;
+            }
+            AdmitAttempt::Shed(shed) => shed_reply(shed),
         };
         self.queue_reply(idx, reply);
     }
@@ -769,26 +652,27 @@ impl Reactor {
                     self.update_interest(idx);
                 }
                 Resume::Admitted { idx, gen, permit } => {
+                    // A recycled slot, or a connection no longer waiting
+                    // (closing takes `awaiting`): the permit drops here,
+                    // freeing the slot.
                     if self.gens.get(idx) != Some(&gen) {
-                        continue; // conn gone; permit drops ⇒ slot freed
+                        continue;
                     }
-                    let ty = {
-                        let Some(conn) = self.conns[idx].as_mut() else {
-                            continue;
-                        };
-                        if conn.dead {
-                            None
-                        } else {
-                            conn.awaiting.take().map(|aw| aw.ty)
-                        }
+                    let Some(conn) = self.conns[idx].as_mut() else {
+                        continue;
                     };
-                    // `ty == None` ⇒ dead or no longer waiting: the
-                    // permit drops here, freeing the slot.
-                    if let Some(ty) = ty {
-                        self.begin_txn(idx, permit, ty);
-                        self.process_rbuf(idx);
-                        self.update_interest(idx);
-                    }
+                    let Some(aw) = conn.awaiting.take() else {
+                        continue;
+                    };
+                    let reply = begin(
+                        conn.session.as_mut().expect("idle conn owns session"),
+                        &mut conn.permit,
+                        permit,
+                        aw.ty,
+                    );
+                    self.queue_reply(idx, reply);
+                    self.process_rbuf(idx);
+                    self.update_interest(idx);
                 }
             }
         }
@@ -872,13 +756,7 @@ impl Reactor {
                         if let Some(conn) = self.conns[idx].as_mut() {
                             conn.awaiting = None;
                         }
-                        self.queue_reply(
-                            idx,
-                            Frame::Error {
-                                code: ErrorCode::RetryLater,
-                                detail: "admission deadline expired".to_string(),
-                            },
-                        );
+                        self.queue_reply(idx, shed_reply(Shed::DeadlineExpired));
                         self.process_rbuf(idx);
                     }
                 }

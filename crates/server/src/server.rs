@@ -1,8 +1,8 @@
 //! The TCP front end: accept loop, per-connection execution, and the
-//! frame → [`Session`] dispatch with admission control on BEGIN.
+//! request core that decides what each frame means.
 //!
-//! Two concurrency models share this module's dispatch logic, selected
-//! by [`ServerConfig::mode`]:
+//! Two concurrency models, selected by [`ServerConfig::mode`], share
+//! that core:
 //!
 //! * [`ServerMode::Threads`] — the paper's baseline (MySQL's
 //!   thread-per-connection): the accept thread spawns one OS thread per
@@ -14,6 +14,15 @@
 //!   loop, per-connection state machines, and a bounded worker pool as
 //!   the execution stage. Scales to 10k+ connections on a handful of
 //!   threads.
+//!
+//! The request core is sans-I/O: `step` maps one decoded frame (or its
+//! decode error) to a `Step` — reply at once, admit a BEGIN, or execute
+//! a statement — and `begin`/`execute` carry out the last two on the
+//! session. Every protocol decision (what is a request, which state
+//! errors the engine never sees, the malformed-frame reply and its
+//! count) is stated there once; a front end only chooses how to wait:
+//! the threads mode blocks in place, the reactor parks the connection
+//! and ships `Execute` to a worker. DESIGN.md §9 has the step table.
 //!
 //! In both modes the admission controller sits between accept and
 //! execute: a BEGIN frame must win an execution slot (or survive the
@@ -30,12 +39,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tpd_engine::{Engine, EngineError, Session, SessionError, TableId};
+use tpd_engine::{Engine, EngineError, Session, SessionError, TableId, TxnType};
 use tpd_metrics::{Counter, MetricsSnapshot};
 
 use crate::admission::{AdmissionConfig, AdmissionController, Permit, Shed};
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, Frame, FrameReadError, HistSummary, MAX_ROW_COLS,
+    read_frame, write_frame, ErrorCode, Frame, FrameReadError, HistSummary, WireError,
 };
 use crate::reactor;
 
@@ -151,6 +160,29 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    fn new(engine: Arc<Engine>, config: ServerConfig) -> Shared {
+        let registry = engine.metrics_registry();
+        let admission = AdmissionController::new(
+            config.admission.clone(),
+            registry.counter("server.shed_total"),
+            registry.histogram("server.admission_wait_ns"),
+            registry.counter("sched.deferred_total"),
+        );
+        let accept_errs = registry.counter("server.accept_err_total");
+        Shared {
+            engine,
+            config,
+            admission,
+            shutdown: AtomicBool::new(false),
+            open_conns: AtomicU64::new(0),
+            conns_opened: AtomicU64::new(0),
+            conn_rejects: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            frames: AtomicU64::new(0),
+            accept_errs,
+        }
+    }
+
     /// The engine snapshot plus the server's own families. `server.*`
     /// names are part of the protocol surface: loadgen reads
     /// `server.shed_total` / `server.open_conns` out of the METRICS reply.
@@ -182,27 +214,8 @@ impl Shared {
 pub fn spawn(engine: Arc<Engine>, config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let local_addr = listener.local_addr()?;
-    let registry = engine.metrics_registry();
-    let admission = AdmissionController::new(
-        config.admission.clone(),
-        registry.counter("server.shed_total"),
-        registry.histogram("server.admission_wait_ns"),
-        registry.counter("sched.deferred_total"),
-    );
-    let accept_errs = registry.counter("server.accept_err_total");
     let mode = config.mode;
-    let shared = Arc::new(Shared {
-        engine,
-        config,
-        admission,
-        shutdown: AtomicBool::new(false),
-        open_conns: AtomicU64::new(0),
-        conns_opened: AtomicU64::new(0),
-        conn_rejects: AtomicU64::new(0),
-        protocol_errors: AtomicU64::new(0),
-        frames: AtomicU64::new(0),
-        accept_errs,
-    });
+    let shared = Arc::new(Shared::new(engine, config));
     let (accept_thread, reactor_waker) = match mode {
         ServerMode::Threads => {
             let accept_shared = shared.clone();
@@ -379,13 +392,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Per-connection state: the session plus the admission permit held
-/// while its transaction is open.
-pub(crate) struct Conn {
-    pub(crate) session: Session,
-    pub(crate) permit: Option<Permit>,
-}
-
 fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(shared.config.read_timeout);
     if shared.config.nodelay {
@@ -396,10 +402,10 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) {
         Err(_) => return,
     });
     let mut writer = BufWriter::new(stream);
-    let mut conn = Conn {
-        session: Session::new(shared.engine.clone()),
-        permit: None,
-    };
+    // Dropping these on any return rolls back the open transaction and
+    // frees the admission slot.
+    let mut session = Session::new(shared.engine.clone());
+    let mut permit: Option<Permit> = None;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             let _ = write_frame(
@@ -412,130 +418,167 @@ fn serve_conn(stream: TcpStream, shared: &Arc<Shared>) {
             let _ = writer.flush();
             return;
         }
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(f)) => f,
-            // Clean close, torn close, or I/O error (incl. read timeout):
-            // drop the connection; `conn` unwinds the txn and the permit.
+        let decoded = match read_frame(&mut reader) {
+            Ok(Some(f)) => Ok(f),
+            // Clean close, torn close, or I/O error (incl. read timeout).
             Ok(None) | Err(FrameReadError::Eof) | Err(FrameReadError::Io(_)) => return,
-            Err(FrameReadError::Wire(e)) => {
-                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(
-                    &mut writer,
-                    &Frame::Error {
-                        code: ErrorCode::Malformed,
-                        detail: e.to_string(),
-                    },
-                );
-                let _ = writer.flush();
-                if e.recoverable() {
-                    continue;
-                }
-                return; // framing lost; the stream cannot be resynced
-            }
+            Err(FrameReadError::Wire(e)) => Err(e),
         };
-        shared.frames.fetch_add(1, Ordering::Relaxed);
-        let reply = handle_frame(frame, &mut conn, shared);
-        if write_frame(&mut writer, &reply).is_err() || writer.flush().is_err() {
+        // A bad length prefix is answered, then the connection closes:
+        // the stream cannot be resynced.
+        let poisoned = decoded.as_ref().is_err_and(|e| !e.recoverable());
+        let reply = match step(shared, permit.is_some(), decoded) {
+            Step::Reply(reply) => reply,
+            Step::Admit { ty, hot } => match shared.admission.admit_hot(hot) {
+                Ok(granted) => begin(&mut session, &mut permit, granted, ty),
+                Err(shed) => shed_reply(shed),
+            },
+            Step::Execute(frame) => execute(&mut session, &mut permit, frame),
+        };
+        if write_frame(&mut writer, &reply).is_err() || writer.flush().is_err() || poisoned {
             return;
         }
     }
 }
 
-pub(crate) fn engine_error_reply(e: EngineError) -> Frame {
-    let (code, detail) = match e {
-        EngineError::Deadlock => (ErrorCode::Deadlock, e.to_string()),
-        // Snapshot-too-old behaves like a timeout on the wire: the engine
-        // rolled back; the client retries with a fresh transaction.
-        EngineError::LockTimeout | EngineError::SnapshotTooOld => {
-            (ErrorCode::LockTimeout, e.to_string())
-        }
-        EngineError::RowNotFound { .. } => (ErrorCode::RowNotFound, e.to_string()),
-        EngineError::TxnFinished => (ErrorCode::TxnState, e.to_string()),
-    };
-    Frame::Error { code, detail }
+// ---- the request core: what a frame means, decided once for both front ends ----
+
+/// What one received frame asks of its connection. Deciding it does no
+/// I/O and never blocks; each front end carries the step out its own
+/// way (see DESIGN.md §9).
+pub(crate) enum Step {
+    /// Answer with this frame; nothing else happens.
+    Reply(Frame),
+    /// BEGIN on an idle session: win an admission slot (`hot` feeds the
+    /// defer gate), then [`begin`].
+    Admit { ty: TxnType, hot: bool },
+    /// A statement, COMMIT or ABORT of the open transaction: [`execute`]
+    /// it. The only step that can block, on engine locks or the log.
+    Execute(Frame),
 }
 
-pub(crate) fn session_error_reply(e: SessionError) -> Frame {
-    match e {
-        SessionError::Engine(inner) => engine_error_reply(inner),
-        SessionError::NoActiveTxn | SessionError::TxnAlreadyActive => Frame::Error {
-            code: ErrorCode::TxnState,
-            detail: e.to_string(),
+/// Decide what `decoded` — one delimited frame, or the reason it failed
+/// to decode — asks of a connection. A connection holds an admission
+/// permit (`has_permit`) exactly while its session has a transaction
+/// open. Counts `server.frames_total` and `server.protocol_errors`.
+pub(crate) fn step(shared: &Shared, has_permit: bool, decoded: Result<Frame, WireError>) -> Step {
+    let frame = match decoded {
+        Ok(frame) => frame,
+        Err(e) => return malformed(shared, e.to_string()),
+    };
+    shared.frames.fetch_add(1, Ordering::Relaxed);
+    match frame {
+        Frame::Begin { .. } if has_permit => {
+            Step::Reply(session_error_reply(SessionError::TxnAlreadyActive))
+        }
+        Frame::Begin { ty } => Step::Admit {
+            ty,
+            hot: begin_is_hot(shared, ty),
         },
+        Frame::Metrics => Step::Reply(metrics_reply(shared.snapshot())),
+        Frame::Read { .. }
+        | Frame::Update { .. }
+        | Frame::Insert { .. }
+        | Frame::Commit
+        | Frame::Abort => {
+            // Without a transaction this is a state error the engine
+            // need not see.
+            if has_permit {
+                Step::Execute(frame)
+            } else {
+                Step::Reply(session_error_reply(SessionError::NoActiveTxn))
+            }
+        }
+        // A reply frame arriving as a request is a protocol violation,
+        // but a well-formed one: answer with a typed error, keep the
+        // connection.
+        other => malformed(
+            shared,
+            format!("frame kind 0x{:02x} is not a request", other.kind()),
+        ),
     }
 }
 
-/// Whether this session error terminated the transaction (engine-side
-/// rollback) — if so the admission slot must be released.
-pub(crate) fn error_ended_txn(e: &SessionError) -> bool {
-    matches!(
-        e,
-        SessionError::Engine(
-            EngineError::Deadlock | EngineError::LockTimeout | EngineError::SnapshotTooOld
-        )
-    )
+fn malformed(shared: &Shared, detail: String) -> Step {
+    shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+    Step::Reply(Frame::Error {
+        code: ErrorCode::Malformed,
+        detail,
+    })
 }
 
-/// Execute one in-transaction request (statement, COMMIT, or ABORT) on
-/// the session. Returns the reply and whether the admission permit must
-/// be released (the transaction ended — cleanly or by engine rollback).
-/// Both server modes funnel through this: the threads mode inline, the
-/// evented mode from its worker pool.
-pub(crate) fn execute_txn_frame(session: &mut Session, frame: Frame) -> (Frame, bool) {
-    match frame {
-        Frame::Read { table, key } => stmt_result(session, |s| {
-            s.read(TableId(table), key).map(|row| Frame::Row { row })
-        }),
-        Frame::Update { table, key, row } => {
-            if row.len() > MAX_ROW_COLS {
-                return (
-                    Frame::Error {
-                        code: ErrorCode::Malformed,
-                        detail: "row too wide".to_string(),
-                    },
-                    false,
-                );
-            }
-            stmt_result(session, |s| {
-                s.update_row(TableId(table), key, row)
-                    .map(|()| Frame::Updated)
-            })
+/// Open the transaction of a [`Step::Admit`] once `granted` won its
+/// slot. On success the connection keeps the slot in `permit`;
+/// otherwise `granted` drops here and the slot is freed.
+pub(crate) fn begin(
+    session: &mut Session,
+    permit: &mut Option<Permit>,
+    granted: Permit,
+    ty: TxnType,
+) -> Frame {
+    match session.begin(ty) {
+        Ok(txn_id) => {
+            *permit = Some(granted);
+            Frame::TxnBegun { txn_id }
         }
-        Frame::Insert { table, row } => {
-            if row.len() > MAX_ROW_COLS {
-                return (
-                    Frame::Error {
-                        code: ErrorCode::Malformed,
-                        detail: "row too wide".to_string(),
-                    },
-                    false,
-                );
-            }
-            stmt_result(session, |s| {
-                s.insert(TableId(table), row)
-                    .map(|key| Frame::Inserted { key })
-            })
-        }
-        Frame::Commit => {
-            let reply = match session.commit() {
-                Ok(()) => Frame::Committed,
-                Err(e) => session_error_reply(e),
-            };
-            (reply, true) // slot freed whatever the outcome
-        }
-        Frame::Abort => {
-            let reply = match session.abort() {
-                Ok(()) => Frame::Aborted,
-                Err(e) => session_error_reply(e),
-            };
-            (reply, true)
-        }
+        Err(e) => session_error_reply(e),
+    }
+}
+
+/// Carry out a [`Step::Execute`] on the session. When the transaction
+/// ends — by COMMIT, ABORT or an engine rollback — `permit` is dropped,
+/// freeing the admission slot before the reply is sent.
+pub(crate) fn execute(session: &mut Session, permit: &mut Option<Permit>, frame: Frame) -> Frame {
+    // Row widths need no check here: the decoder bounds them.
+    let result = match frame {
+        Frame::Read { table, key } => session
+            .read(TableId(table), key)
+            .map(|row| Frame::Row { row }),
+        Frame::Update { table, key, row } => session
+            .update_row(TableId(table), key, row)
+            .map(|()| Frame::Updated),
+        Frame::Insert { table, row } => session
+            .insert(TableId(table), row)
+            .map(|key| Frame::Inserted { key }),
+        Frame::Commit => session.commit().map(|()| Frame::Committed),
+        Frame::Abort => session.abort().map(|()| Frame::Aborted),
         other => unreachable!("not an in-transaction frame: kind 0x{:02x}", other.kind()),
+    };
+    if !session.in_txn() {
+        drop(permit.take());
+    }
+    result.unwrap_or_else(session_error_reply)
+}
+
+/// The reply to a BEGIN that admission control shed.
+pub(crate) fn shed_reply(shed: Shed) -> Frame {
+    Frame::Error {
+        code: ErrorCode::RetryLater,
+        detail: shed.to_string(),
+    }
+}
+
+fn session_error_reply(e: SessionError) -> Frame {
+    let code = match e {
+        SessionError::Engine(EngineError::Deadlock) => ErrorCode::Deadlock,
+        // Snapshot-too-old behaves like a timeout on the wire: the engine
+        // rolled back; the client retries with a fresh transaction.
+        SessionError::Engine(EngineError::LockTimeout | EngineError::SnapshotTooOld) => {
+            ErrorCode::LockTimeout
+        }
+        SessionError::Engine(EngineError::RowNotFound { .. }) => ErrorCode::RowNotFound,
+        SessionError::Engine(EngineError::TxnFinished)
+        | SessionError::NoActiveTxn
+        | SessionError::TxnAlreadyActive => ErrorCode::TxnState,
+    };
+    Frame::Error {
+        code,
+        detail: e.to_string(),
     }
 }
 
 /// Render the metrics snapshot as a wire reply.
-pub(crate) fn metrics_reply(snap: MetricsSnapshot) -> Frame {
+fn metrics_reply(snap: MetricsSnapshot) -> Frame {
     let counters = snap.counters.into_iter().collect();
     let histograms = snap
         .histograms
@@ -560,79 +603,113 @@ pub(crate) fn metrics_reply(snap: MetricsSnapshot) -> Frame {
     }
 }
 
-fn handle_frame(frame: Frame, conn: &mut Conn, shared: &Arc<Shared>) -> Frame {
-    match frame {
-        Frame::Begin { ty } => {
-            if conn.session.in_txn() {
-                return session_error_reply(SessionError::TxnAlreadyActive);
-            }
-            match shared.admission.admit_hot(begin_is_hot(shared, ty)) {
-                Ok(permit) => match conn.session.begin(ty) {
-                    Ok(txn_id) => {
-                        conn.permit = Some(permit);
-                        Frame::TxnBegun { txn_id }
-                    }
-                    Err(e) => session_error_reply(e), // permit drops here
-                },
-                Err(shed @ (Shed::QueueFull | Shed::DeadlineExpired)) => Frame::Error {
-                    code: ErrorCode::RetryLater,
-                    detail: shed.to_string(),
-                },
-            }
-        }
-        Frame::Read { .. }
-        | Frame::Update { .. }
-        | Frame::Insert { .. }
-        | Frame::Commit
-        | Frame::Abort => {
-            let (reply, release) = execute_txn_frame(&mut conn.session, frame);
-            if release {
-                drop(conn.permit.take());
-            }
-            reply
-        }
-        Frame::Metrics => metrics_reply(shared.snapshot()),
-        // A reply frame arriving as a request is a protocol violation,
-        // but a well-formed one: answer with a typed error, keep the
-        // connection.
-        other => {
-            shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            Frame::Error {
-                code: ErrorCode::Malformed,
-                detail: format!("frame kind 0x{:02x} is not a request", other.kind()),
-            }
-        }
-    }
-}
-
 /// Classify a BEGIN as predicted-hot for the admission defer gate. The
 /// wire protocol declares no key sample, so the classification is the
 /// transaction type's learned conflict rate alone; always cold when the
 /// engine runs a non-predictive policy.
-pub(crate) fn begin_is_hot(shared: &Shared, ty: tpd_engine::TxnType) -> bool {
+fn begin_is_hot(shared: &Shared, ty: TxnType) -> bool {
     shared
         .engine
         .predictor()
         .is_some_and(|p| p.is_hot(p.predict(ty, &[])))
 }
 
-/// Run one statement; map the outcome and whether the txn ended.
-fn stmt_result(
-    session: &mut Session,
-    op: impl FnOnce(&mut Session) -> Result<Frame, SessionError>,
-) -> (Frame, bool) {
-    match op(session) {
-        Ok(reply) => (reply, false),
-        Err(e) => {
-            let ended = error_ended_txn(&e);
-            (session_error_reply(e), ended)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpd_common::dist::ServiceTime;
+    use tpd_common::DiskConfig;
+    use tpd_engine::{EngineConfig, Policy};
+
+    fn txn_state(step: Step) -> bool {
+        matches!(
+            step,
+            Step::Reply(Frame::Error {
+                code: ErrorCode::TxnState,
+                ..
+            })
+        )
+    }
+
+    /// The request core without sockets: the step each frame maps to,
+    /// and the admission permit's lifetime across `begin`/`execute`.
+    #[test]
+    fn request_core_steps_and_permit_lifetime() {
+        let disk = DiskConfig {
+            service: ServiceTime::Fixed(10_000),
+            ns_per_byte: 0.0,
+            seed: 1,
+        };
+        let engine = Engine::new(EngineConfig {
+            data_disk: disk.clone(),
+            log_disks: vec![disk],
+            seed: 1,
+            ..EngineConfig::mysql(Policy::Fcfs)
+        });
+        let table = engine.catalog().create_table("t", 8);
+        let shared = Shared::new(engine.clone(), ServerConfig::default());
+        let mut session = Session::new(engine.clone());
+        let mut permit = None;
+        let lock_acquires = || engine.metrics_snapshot().counters["lock.acquires"];
+
+        let idle_metrics = step(&shared, false, Ok(Frame::Metrics));
+        assert!(matches!(
+            idle_metrics,
+            Step::Reply(Frame::MetricsSnapshot { .. })
+        ));
+
+        // COMMIT with no transaction is answered without the engine.
+        let acquires = lock_acquires();
+        assert!(txn_state(step(&shared, false, Ok(Frame::Commit))));
+        assert_eq!(lock_acquires(), acquires);
+
+        let Step::Admit { ty, hot } = step(&shared, false, Ok(Frame::Begin { ty: 3 })) else {
+            panic!("BEGIN on an idle session asks for admission");
+        };
+        assert_eq!((ty, hot), (3, false));
+        let granted = shared.admission.admit_hot(hot).expect("a free slot");
+        let begun = begin(&mut session, &mut permit, granted, ty);
+        assert!(matches!(begun, Frame::TxnBegun { .. }));
+        assert!(permit.is_some());
+        assert!(txn_state(step(&shared, true, Ok(Frame::Begin { ty: 0 }))));
+
+        let read = Frame::Read {
+            table: table.0,
+            key: 99,
+        };
+        let Step::Execute(frame) = step(&shared, true, Ok(read.clone())) else {
+            panic!("a statement with a permit executes");
+        };
+        assert_eq!(frame, read);
+        let missing = execute(&mut session, &mut permit, frame);
+        assert!(matches!(
+            missing,
+            Frame::Error {
+                code: ErrorCode::RowNotFound,
+                ..
+            }
+        ));
+        assert!(permit.is_some(), "RowNotFound leaves the transaction open");
+
+        for bad in [Ok(Frame::Committed), Err(WireError::BadVersion { got: 9 })] {
+            let errors = shared.protocol_errors.load(Ordering::Relaxed);
+            assert!(matches!(
+                step(&shared, true, bad),
+                Step::Reply(Frame::Error {
+                    code: ErrorCode::Malformed,
+                    ..
+                })
+            ));
+            assert_eq!(shared.protocol_errors.load(Ordering::Relaxed), errors + 1);
+        }
+
+        assert_eq!(
+            execute(&mut session, &mut permit, Frame::Commit),
+            Frame::Committed
+        );
+        assert!(permit.is_none());
+        assert_eq!(shared.admission.in_flight(), 0, "COMMIT freed the slot");
+    }
 
     #[test]
     fn server_mode_parses_both_names_and_rejects_junk() {

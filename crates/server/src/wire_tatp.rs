@@ -5,14 +5,18 @@
 //! trips (the regime where admission wait and lock scheduling dominate
 //! latency variance).
 //!
-//! Read-modify-write transactions (UpdateSubscriberData's bit flip)
-//! READ first and UPDATE with the derived row, which exercises the lock
-//! manager's S→X upgrade path over the network.
+//! Each transaction is one statement script ([`WireTatp::statement`]);
+//! the blocking [`WireTatp::execute`] and the multiplexed
+//! [`crate::muxclient`] both walk it. Read-modify-write transactions
+//! (UpdateSubscriberData's bit flip) READ first and UPDATE with the
+//! derived row, which exercises the lock manager's S→X upgrade path
+//! over the network.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::client::{BeginOutcome, ClientError, Conn};
+use crate::protocol::Frame;
 
 /// Access-info rows per subscriber (mirrors `tpd_workloads::tatp`).
 pub const AI_PER_SUB: u64 = 4;
@@ -115,73 +119,83 @@ impl WireTatp {
         }
     }
 
-    /// Drive one transaction to a terminal outcome over `conn`.
+    /// The `i`th statement of `spec`'s script, or `None` past the last
+    /// (COMMIT comes next). `saved` holds the row of the previous `Row`
+    /// reply; a read-modify-write step takes it and sends the derived
+    /// row. Both wire drivers walk this one script: [`WireTatp::execute`]
+    /// and the multiplexed [`crate::muxclient`].
+    pub fn statement(
+        &self,
+        spec: &WireSpec,
+        i: usize,
+        saved: &mut Option<Vec<i64>>,
+    ) -> Option<Frame> {
+        use txn_type::*;
+        let (s, sf, val) = (spec.s, spec.sf, spec.val);
+        let sfk = s * SF_PER_SUB + sf;
+        let read = |table, key| Frame::Read { table, key };
+        // Write the saved row back with column `col` rewritten by `set`.
+        let mut rmw = |table, key, col: usize, set: &dyn Fn(i64) -> i64| {
+            let mut row = saved.take().unwrap_or_default();
+            if let Some(cell) = row.get_mut(col) {
+                *cell = set(*cell);
+            }
+            Frame::Update { table, key, row }
+        };
+        Some(match (spec.ty, i) {
+            (GET_SUBSCRIBER, 0) => read(self.subscriber, s),
+            (GET_NEW_DEST, 0) => read(self.special_facility, sfk),
+            (GET_NEW_DEST, 1) => read(self.call_forwarding, sfk),
+            (GET_ACCESS, 0) => read(self.access_info, s * AI_PER_SUB + (sf % AI_PER_SUB)),
+            (UPD_SUBSCRIBER, 0) => read(self.subscriber, s),
+            (UPD_SUBSCRIBER, 1) => rmw(self.subscriber, s, 1, &|bit| bit ^ 1),
+            (UPD_SUBSCRIBER, 2) => read(self.special_facility, sfk),
+            (UPD_SUBSCRIBER, 3) => rmw(self.special_facility, sfk, 2, &|_| val),
+            (UPD_LOCATION, 0) => read(self.subscriber, s),
+            (UPD_LOCATION, 1) => rmw(self.subscriber, s, 3, &|_| val),
+            (INS_CALL_FWD, 0) => read(self.subscriber, s),
+            (INS_CALL_FWD, 1) => read(self.special_facility, sfk),
+            (INS_CALL_FWD, 2) => Frame::Insert {
+                table: self.call_forwarding,
+                row: vec![s as i64, sf as i64, 1],
+            },
+            (DEL_CALL_FWD, 0) => read(self.call_forwarding, sfk),
+            (DEL_CALL_FWD, 1) => rmw(self.call_forwarding, sfk, 2, &|_| 0),
+            _ => return None,
+        })
+    }
+
+    /// Drive one transaction to a terminal outcome over `conn`, one
+    /// [`WireTatp::statement`] per round trip, then COMMIT.
     ///
     /// Engine aborts (deadlock/timeout) and admission sheds are expected
     /// outcomes, not errors; everything else (I/O, protocol violations,
     /// unexpected frames) is an `Err`.
     pub fn execute(&self, conn: &mut Conn, spec: &WireSpec) -> Result<Outcome, ClientError> {
-        use txn_type::*;
         match conn.begin(spec.ty)? {
             BeginOutcome::Shed => return Ok(Outcome::Shed),
             BeginOutcome::Started { .. } => {}
         }
-        let body = (|| -> Result<(), ClientError> {
-            let (s, sf, val) = (spec.s, spec.sf, spec.val);
-            match spec.ty {
-                GET_SUBSCRIBER => {
-                    conn.read(self.subscriber, s)?;
+        let mut saved = None;
+        for i in 0.. {
+            let stmt = self.statement(spec, i, &mut saved);
+            let committing = stmt.is_none();
+            match conn.call(&stmt.unwrap_or(Frame::Commit))? {
+                Frame::Committed if committing => return Ok(Outcome::Committed),
+                Frame::Row { row } if !committing => saved = Some(row),
+                Frame::Updated | Frame::Inserted { .. } if !committing => {}
+                Frame::Error { code, detail } => {
+                    let e = ClientError::Server { code, detail };
+                    return if e.is_txn_abort() {
+                        Ok(Outcome::Aborted)
+                    } else {
+                        Err(e)
+                    };
                 }
-                GET_NEW_DEST => {
-                    conn.read(self.special_facility, s * SF_PER_SUB + sf)?;
-                    conn.read(self.call_forwarding, s * SF_PER_SUB + sf)?;
-                }
-                GET_ACCESS => {
-                    conn.read(self.access_info, s * AI_PER_SUB + (sf % AI_PER_SUB))?;
-                }
-                UPD_SUBSCRIBER => {
-                    let mut row = conn.read(self.subscriber, s)?;
-                    if row.len() > 1 {
-                        row[1] ^= 1;
-                    }
-                    conn.update(self.subscriber, s, row)?;
-                    let mut fac = conn.read(self.special_facility, s * SF_PER_SUB + sf)?;
-                    if fac.len() > 2 {
-                        fac[2] = val;
-                    }
-                    conn.update(self.special_facility, s * SF_PER_SUB + sf, fac)?;
-                }
-                UPD_LOCATION => {
-                    let mut row = conn.read(self.subscriber, s)?;
-                    if row.len() > 3 {
-                        row[3] = val;
-                    }
-                    conn.update(self.subscriber, s, row)?;
-                }
-                INS_CALL_FWD => {
-                    conn.read(self.subscriber, s)?;
-                    conn.read(self.special_facility, s * SF_PER_SUB + sf)?;
-                    conn.insert(self.call_forwarding, vec![s as i64, sf as i64, 1])?;
-                }
-                DEL_CALL_FWD => {
-                    let mut row = conn.read(self.call_forwarding, s * SF_PER_SUB + sf)?;
-                    if row.len() > 2 {
-                        row[2] = 0;
-                    }
-                    conn.update(self.call_forwarding, s * SF_PER_SUB + sf, row)?;
-                }
-                other => panic!("unknown TATP wire txn type {other}"),
+                other => return Err(ClientError::Unexpected { kind: other.kind() }),
             }
-            Ok(())
-        })();
-        match body {
-            Ok(()) => {
-                conn.commit()?;
-                Ok(Outcome::Committed)
-            }
-            Err(e) if e.is_txn_abort() => Ok(Outcome::Aborted),
-            Err(e) => Err(e),
         }
+        unreachable!("every script ends in COMMIT")
     }
 }
 
@@ -202,6 +216,59 @@ mod tests {
         assert!((frac(0) - 0.35).abs() < 0.03);
         assert!((frac(2) - 0.35).abs() < 0.03);
         assert!((frac(4) - 0.14).abs() < 0.02);
+    }
+
+    #[test]
+    fn script_lengths_match_the_tatp_transactions() {
+        use txn_type::*;
+        let w = WireTatp::fresh_install(100);
+        let expected = [
+            (GET_SUBSCRIBER, 1),
+            (GET_NEW_DEST, 2),
+            (GET_ACCESS, 1),
+            (UPD_SUBSCRIBER, 4),
+            (UPD_LOCATION, 2),
+            (INS_CALL_FWD, 3),
+            (DEL_CALL_FWD, 2),
+        ];
+        for (ty, want) in expected {
+            let spec = WireSpec {
+                ty,
+                s: 7,
+                sf: 2,
+                val: 55,
+            };
+            let mut saved = Some(vec![0i64; 8]);
+            let mut n = 0;
+            while w.statement(&spec, n, &mut saved).is_some() {
+                saved = Some(vec![0i64; 8]); // refresh the RMW row
+                n += 1;
+            }
+            assert_eq!(n, want, "txn type {ty} statement count");
+        }
+    }
+
+    #[test]
+    fn rmw_steps_transform_the_saved_row() {
+        use txn_type::*;
+        let w = WireTatp::fresh_install(100);
+        let spec = WireSpec {
+            ty: UPD_SUBSCRIBER,
+            s: 3,
+            sf: 1,
+            val: 99,
+        };
+        let mut saved = Some(vec![10, 20, 30, 40]);
+        let frame = w.statement(&spec, 1, &mut saved).expect("update step");
+        match frame {
+            Frame::Update { table, key, row } => {
+                assert_eq!(table, w.subscriber);
+                assert_eq!(key, 3);
+                assert_eq!(row, vec![10, 21, 30, 40], "bit flip on col 1");
+            }
+            other => panic!("expected update, got {other:?}"),
+        }
+        assert!(saved.is_none(), "row consumed");
     }
 
     #[test]

@@ -73,7 +73,10 @@ fn park(
 /// and return the ids in grant order (each grant's permit is dropped
 /// only after it is recorded, so grants are strictly sequential).
 fn grant_order(r: &Rig, hots: &[bool]) -> Vec<usize> {
-    let holder = match r.controller.try_admit_or_enqueue_hot(Box::new(|_| ()), false) {
+    let holder = match r
+        .controller
+        .try_admit_or_enqueue_hot(Box::new(|_| ()), false)
+    {
         AdmitAttempt::Admitted(p) => p,
         other => panic!("empty controller must admit, got {other:?}"),
     };
@@ -92,7 +95,7 @@ fn grant_order(r: &Rig, hots: &[bool]) -> Vec<usize> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `defer_hot = false` ⇒ hot flags are inert: the grant stream is
     /// the arrival stream, whatever the flags say, and nothing defers.
@@ -151,7 +154,10 @@ proptest! {
 fn adversarial_cool_stream_cannot_starve_a_hot_waiter() {
     const DEFER_MAX: u32 = 3;
     let r = rig(true, DEFER_MAX);
-    let holder = match r.controller.try_admit_or_enqueue_hot(Box::new(|_| ()), false) {
+    let holder = match r
+        .controller
+        .try_admit_or_enqueue_hot(Box::new(|_| ()), false)
+    {
         AdmitAttempt::Admitted(p) => p,
         other => panic!("empty controller must admit, got {other:?}"),
     };
@@ -164,7 +170,9 @@ fn adversarial_cool_stream_cannot_starve_a_hot_waiter() {
 
     let mut order = Vec::new();
     while order.last() != Some(&0) {
-        let (id, permit) = rx.recv_timeout(Duration::from_secs(10)).expect("no starvation");
+        let (id, permit) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("no starvation");
         order.push(id);
         // The adversary refills the queue before the slot frees.
         next_id += 1;

@@ -484,7 +484,6 @@ mod tests {
                         ..Default::default()
                     }),
                     append,
-                    ..Default::default()
                 },
                 vec![fast_disk(1)],
                 None,

@@ -932,7 +932,10 @@ mod tests {
             wal.sync(0); // the sync the crash stole
         }
         let (_, rec) = FileWal::open(&dir, 1, FileWal::DEFAULT_ROTATE_BYTES).expect("reopen");
-        assert_eq!(rec.frames, 3, "the unsynced fatal frame is readable in full");
+        assert_eq!(
+            rec.frames, 3,
+            "the unsynced fatal frame is readable in full"
+        );
         assert_eq!(rec.torn_truncated, 0, "no tear: the pwrite completed");
         assert!(crate::committed_txns(&rec.records).contains(&1));
         // Txn 2's update frame landed but its commit never did: recovery
