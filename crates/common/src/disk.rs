@@ -6,10 +6,12 @@
 //! at a time (requests queue on the device mutex, exactly like a disk queue),
 //! where each request costs a base service time drawn from a configurable
 //! distribution plus a per-byte transfer cost. "Service" is charged through
-//! [`clock::advance`](crate::clock::advance): `thread::sleep` in real mode —
+//! [`clock::advance`](crate::clock::advance): a kernel sleep in real mode —
 //! which yields the CPU, so concurrency effects (other transactions making
-//! progress during I/O) are preserved even on a single-core host — and a
-//! free logical-clock bump under the harness's virtual clock.
+//! progress during I/O) are preserved even on a single-core host, and which
+//! wakes a few microseconds after the service time because the sleeping
+//! thread's timer slack is tightened — and a free logical-clock bump under
+//! the harness's virtual clock.
 //!
 //! A device may additionally carry a seeded [`FaultPlan`] (write stalls,
 //! latency spikes); see [`SimDisk::with_faults`].
@@ -49,8 +51,9 @@ pub struct DiskConfig {
 impl Default for DiskConfig {
     fn default() -> Self {
         DiskConfig {
-            // ~200 µs median with a heavy tail: a fast SSD scaled up so the
-            // 1-core host's ~50 µs sleep granularity stays negligible.
+            // ~200 µs median with a heavy tail: a fast SSD scaled up so
+            // that the few microseconds each simulated request adds for
+            // its wake-up (see `clock::SLEEP_TIMER_SLACK_NS`) stay small.
             service: ServiceTime::LogNormal {
                 median: 200_000,
                 sigma: 0.4,

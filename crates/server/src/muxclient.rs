@@ -320,10 +320,16 @@ fn connect_with_retry(addr: SocketAddr) -> io::Result<TcpStream> {
 
 /// Drive `cfg.conns` concurrent connections of TATP against `addr`
 /// from a single thread, multiplexed over the poller.
+///
+/// Replies are processed while the connections are still being opened
+/// (a zero-timeout poll after each connect), so a transaction admitted
+/// early in the ramp does not hold its admission slot until the last
+/// connection is up.
 pub fn run_mux(addr: SocketAddr, wire: &WireTatp, cfg: &MuxConfig) -> io::Result<MuxReport> {
     let poller = Poller::new()?;
     let mut report = MuxReport::default();
     let mut conns: Vec<Option<MuxConn>> = Vec::with_capacity(cfg.conns);
+    let mut events: Vec<PollEvent> = Vec::new();
     let mut active = 0usize;
     for i in 0..cfg.conns {
         let stream = connect_with_retry(addr)?;
@@ -345,50 +351,73 @@ pub fn run_mux(addr: SocketAddr, wire: &WireTatp, cfg: &MuxConfig) -> io::Result
         conn.interest = want;
         conns.push(Some(conn));
         active += 1;
+        active -= pump(
+            &poller,
+            &mut conns,
+            &mut events,
+            Duration::ZERO,
+            wire,
+            &mut report,
+        )?;
     }
     let started = Instant::now();
-    let mut events: Vec<PollEvent> = Vec::new();
     while active > 0 {
         if let Some(deadline) = cfg.deadline {
             if started.elapsed() >= deadline {
                 break;
             }
         }
-        poller.wait(&mut events, Some(Duration::from_millis(100)))?;
-        for ev in events.drain(..) {
-            let idx = ev.token.0;
-            let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
-                continue;
-            };
-            let mut status = ConnStatus::Active;
-            if ev.writable && !conn.flush() {
-                report.protocol_errors += 1;
-                status = ConnStatus::Broken;
-            }
-            if matches!(status, ConnStatus::Active) && (ev.readable || ev.hangup || ev.error) {
-                status = conn.read_and_process(wire, &mut report);
-            }
-            if matches!(status, ConnStatus::Active) && !conn.flush() {
-                report.protocol_errors += 1;
-                status = ConnStatus::Broken;
-            }
-            match status {
-                ConnStatus::Active => {
-                    let want = conn.wanted_interest();
-                    if want != conn.interest && poller.reregister(conn.fd, ev.token, want).is_ok() {
-                        conn.interest = want;
-                    }
+        let wait = Duration::from_millis(100);
+        active -= pump(&poller, &mut conns, &mut events, wait, wire, &mut report)?;
+    }
+    Ok(report)
+}
+
+/// Wait up to `timeout` for ready connections and advance the script of
+/// each; returns how many connections it retired (finished or broken).
+fn pump(
+    poller: &Poller,
+    conns: &mut [Option<MuxConn>],
+    events: &mut Vec<PollEvent>,
+    timeout: Duration,
+    wire: &WireTatp,
+    report: &mut MuxReport,
+) -> io::Result<usize> {
+    let mut retired = 0;
+    poller.wait(events, Some(timeout))?;
+    for ev in events.drain(..) {
+        let idx = ev.token.0;
+        let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
+            continue;
+        };
+        let mut status = ConnStatus::Active;
+        if ev.writable && !conn.flush() {
+            report.protocol_errors += 1;
+            status = ConnStatus::Broken;
+        }
+        if matches!(status, ConnStatus::Active) && (ev.readable || ev.hangup || ev.error) {
+            status = conn.read_and_process(wire, report);
+        }
+        if matches!(status, ConnStatus::Active) && !conn.flush() {
+            report.protocol_errors += 1;
+            status = ConnStatus::Broken;
+        }
+        match status {
+            ConnStatus::Active => {
+                let want = conn.wanted_interest();
+                if want != conn.interest && poller.reregister(conn.fd, ev.token, want).is_ok() {
+                    conn.interest = want;
                 }
-                ConnStatus::Finished | ConnStatus::Broken => {
-                    if matches!(status, ConnStatus::Finished) {
-                        report.completed_conns += 1;
-                    }
-                    let _ = poller.deregister(conn.fd);
-                    conns[idx] = None;
-                    active -= 1;
+            }
+            ConnStatus::Finished | ConnStatus::Broken => {
+                if matches!(status, ConnStatus::Finished) {
+                    report.completed_conns += 1;
                 }
+                let _ = poller.deregister(conn.fd);
+                conns[idx] = None;
+                retired += 1;
             }
         }
     }
-    Ok(report)
+    Ok(retired)
 }

@@ -411,6 +411,12 @@ fn create_segment(path: &Path) -> io::Result<File> {
         .open(path)
 }
 
+/// Make the directory's entries (files created, renamed or removed in it)
+/// durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
+
 /// Per-stripe writer bookkeeping: which segment files exist and what the
 /// next rotation index is. Byte positions live in the stripe's
 /// [`FileDisk`].
@@ -728,19 +734,23 @@ impl FileWal {
             f.sync_data()?;
         }
         std::fs::rename(&tmp, self.dir.join("checkpoint.ckpt"))?;
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        sync_dir(&self.dir)?;
+        let mut pruned = Vec::new();
         for (k, writer) in self.writers.iter().enumerate() {
             let mut w = writer.lock();
             let path = seg_path(&self.dir, k, w.next_index);
             let file = create_segment(&path)?;
             w.next_index += 1;
             drop(self.disks[k].swap_file(file));
-            for old in w.paths.drain(..) {
-                let _ = std::fs::remove_file(old);
-            }
+            pruned.append(&mut w.paths);
             w.paths.push(path);
+        }
+        // The new segments' names must be durable before the old segments
+        // go: otherwise a crash can lose a stripe's new segment, and with
+        // it every frame fsynced into it.
+        sync_dir(&self.dir)?;
+        for old in pruned {
+            let _ = std::fs::remove_file(old);
         }
         Ok(())
     }
